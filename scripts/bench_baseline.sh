@@ -39,7 +39,7 @@ trap 'rm -rf "${tmpdir}"' EXIT
 
 echo "==> running table3_microbench"
 CYCADA_BENCH_JSON="${tmpdir}/table3.json" \
-  "./${BUILD}/bench/table3_microbench" --benchmark_min_time=0.05s
+  "./${BUILD}/bench/table3_microbench" --benchmark_min_time=0.05
 echo "==> running table2_diplomat_breakdown"
 CYCADA_BENCH_JSON="${tmpdir}/table2.json" \
   "./${BUILD}/bench/table2_diplomat_breakdown" >/dev/null
@@ -56,10 +56,12 @@ echo "==> running fig6 chaos soak (4s budget, seed 42)"
 CYCADA_BENCH_JSON="${tmpdir}/soak.json" CYCADA_PASSMARK_SOAK_MS=4000 \
   CYCADA_WATCHDOG_BUDGET_MS=50 CYCADA_CHAOS_SEED=42 \
   "./${BUILD}/bench/fig6_passmark" >/dev/null
+# Pinned to one test so fleet.* stays comparable with earlier baselines
+# (without --test the fleet renders every PassMark test).
 echo "==> running cycada_fleet (16 sessions, 4 frames, verified)"
 CYCADA_BENCH_JSON="${tmpdir}/fleet.json" \
   "./${BUILD}/tools/cycada_fleet" --sessions 16 --frames 4 --verify \
-  >/dev/null
+  --test "Solid Vectors" >/dev/null
 
 # Merge the two bench documents (shell-only; no python/jq dependency). Each
 # emits {"counters":{...},"histograms":{...}}; the counters object is flat

@@ -107,13 +107,33 @@ run env CYCADA_CLASSIFY_AMEND="${tracedir}/classification_amendments" \
 
 # --- Fleet leg (docs/SESSIONS.md) --------------------------------------------
 # Eight concurrent sessions in one process, each replaying the golden
-# PassMark capture as in-session load before rendering. --verify gates
-# byte-identical per-session screen hashes against a default-session
-# reference, zero session errors, zero cross-session leak evidence, and
-# all sessions destroyed on exit.
-echo "==> cycada_fleet (8 sessions, golden PassMark replay, verified)"
-run ./build/tools/cycada_fleet --sessions 8 --frames 3 \
-  --replay "$(pwd)/tests/data/golden_passmark.cyt" --verify
+# PassMark capture as in-session load before rendering every PassMark test.
+# --verify gates byte-identical per-session, per-test screen hashes against
+# a default-session reference, zero session errors, zero cross-session leak
+# evidence, and all sessions destroyed on exit. The leg runs at 1 and 4
+# tile workers and the two runs' hash lines must match, as the fig6 leg's
+# do: sessions' frames share the pool concurrently, so this is where a
+# cross-session pool bug would show.
+for workers in 1 4; do
+  echo "==> cycada_fleet (8 sessions, golden PassMark replay, verified," \
+       "CYCADA_GPU_WORKERS=${workers})"
+  fleet_out="${tracedir}/fleet_w${workers}.txt"
+  if ! CYCADA_GPU_WORKERS="${workers}" ./build/tools/cycada_fleet \
+      --sessions 8 --frames 3 \
+      --replay "$(pwd)/tests/data/golden_passmark.cyt" --verify \
+      > "${fleet_out}"; then
+    cat "${fleet_out}" >&2
+    echo "ci.sh: FAIL — cycada_fleet --verify at ${workers} worker(s)" >&2
+    exit 1
+  fi
+  grep -v '^hash ' "${fleet_out}"
+done
+if ! diff <(grep '^hash ' "${tracedir}/fleet_w1.txt") \
+    <(grep '^hash ' "${tracedir}/fleet_w4.txt") >&2; then
+  echo "ci.sh: FAIL — fleet screen hashes diverge across worker counts" >&2
+  exit 1
+fi
+echo "    identical ($(grep -c '^hash ' "${tracedir}/fleet_w1.txt") hashes)"
 
 # --- Fault-injected analyzer run (docs/ROBUSTNESS.md) ------------------------
 # Persistent replica-mint failures: the workload must complete in degraded

@@ -10,7 +10,8 @@
 // them into a FrameBatch of plain views and hands it to the tile worker
 // pool. With >= 2 workers the batch executes asynchronously — the app
 // thread records the next frame while the pool rasterizes the previous one,
-// with at most one frame in flight. Anything that reads or mutates memory a
+// with at most one frame in flight per device (other devices' frames run
+// concurrently on the shared pool). Anything that reads or mutates memory a
 // batch could touch (views, readback, texture definition/upload/destroy,
 // target destroy, reset) drains the in-flight frame first. With one worker
 // (the default on small machines) every path executes inline and the device
@@ -104,8 +105,9 @@ class GpuDevice {
   bool wait_fence_for(FenceHandle fence, std::int64_t budget_ms);
 
   // Closes the recording queue as one frame and executes it — async on the
-  // tile worker pool when it has >= 2 workers (at most one frame in flight;
-  // a second submit waits for the first to retire), inline otherwise. The
+  // tile worker pool when it has >= 2 workers (at most one frame in flight
+  // per device; a second submit waits for this device's first to retire,
+  // never for another device's), inline otherwise. The
   // present path calls this instead of flush(); pair it with submit_fence()
   // to learn when the frame's buffers are safe to read.
   void submit_frame();

@@ -73,12 +73,25 @@ struct TileWorkerPool::Phase {
   };
   std::vector<std::unique_ptr<Range>> ranges;
   std::atomic<int> participants{0};  // claimed participant slots
-  std::atomic<int> tiles_done{0};
+  std::atomic<int> helpers{0};  // pool threads checked in (in under the lock)
   std::atomic<std::uint64_t> fragments{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::int64_t> busy_ns{0};  // summed per-tile raster time
 
   int tile_count() const { return tiles_x * tiles_y; }
+
+  // Worth joining: a participant slot is free (the phase was carved for
+  // ranges.size() participants) and some tile is still unclaimed.
+  bool joinable() const {
+    if (participants.load(std::memory_order_relaxed) >=
+        static_cast<int>(ranges.size())) {
+      return false;
+    }
+    for (const auto& range : ranges) {
+      if (range->next.load(std::memory_order_relaxed) < range->end) return true;
+    }
+    return false;
+  }
 
   PixelRect tile_rect(int index) const {
     const int tx = index % tiles_x;
@@ -112,7 +125,6 @@ struct TileWorkerPool::Phase {
     const std::int64_t elapsed = now_ns() - start;
     busy_ns.fetch_add(elapsed, std::memory_order_relaxed);
     tile_ns.record(elapsed);
-    tiles_done.fetch_add(1, std::memory_order_release);
   }
 
   // Claim-and-steal loop for one participant. `slot` < ranges.size() owns
@@ -161,12 +173,12 @@ int TileWorkerPool::worker_count() {
 }
 
 void TileWorkerPool::wait_idle_locked(std::unique_lock<std::mutex>& lock) {
-  // Progress wait, not idle parking: the in-flight frame always terminates
-  // (run_phase's bounded polls and the kGpuPhase rung guarantee it), so the
-  // slices exist to keep the wait supervised rather than indefinite.
+  // Progress wait, not idle parking: every queued job terminates (run_phase's
+  // bounded waits and the kGpuPhase rung guarantee it), so the slices exist
+  // to keep the wait supervised rather than indefinite.
   WATCHDOG_SCOPE(util::WatchdogDomain::kGpuPhase,
                  util::kWatchdogGpuPhaseBudgetMs);
-  while (!(pending_batch_ == nullptr && !executing_)) {
+  while (!(jobs_.empty() && running_jobs_ == 0)) {
     idle_cv_.wait_for(lock, std::chrono::milliseconds(5));
   }
 }
@@ -182,12 +194,9 @@ void TileWorkerPool::set_worker_count(int n) {
 
 void TileWorkerPool::ensure_started_locked() {
   if (started_ || configured_workers_ <= 1) return;
-  // One consumer (async frames + phase coordinator) plus workers-1 helpers;
-  // a tile phase therefore runs on exactly `configured_workers_` threads.
   stopping_ = false;
-  threads_.emplace_back([this] { consumer_main(); });
-  for (int i = 1; i < configured_workers_; ++i) {
-    threads_.emplace_back([this, i] { helper_main(i); });
+  for (int i = 0; i < configured_workers_; ++i) {
+    threads_.emplace_back([this] { worker_main(); });
   }
   started_ = true;
 }
@@ -195,7 +204,7 @@ void TileWorkerPool::ensure_started_locked() {
 void TileWorkerPool::stop_threads_locked(std::unique_lock<std::mutex>& lock) {
   if (!started_) return;
   stopping_ = true;
-  work_cv_.notify_all();
+  wake_locked(parked_.size());
   std::vector<std::thread> joining;
   joining.swap(threads_);
   lock.unlock();
@@ -220,14 +229,10 @@ bool TileWorkerPool::async_capable() {
 void TileWorkerPool::submit_async(
     std::unique_ptr<FrameBatch> batch,
     std::function<void(std::unique_ptr<FrameBatch>)> retire) {
-  std::unique_lock lock(mutex_);
+  std::lock_guard lock(mutex_);
   ensure_started_locked();
-  // Capacity 1: the device guarantees it never submits while a frame is in
-  // flight (it waits for retire first), so this never blocks in practice.
-  wait_idle_locked(lock);
-  pending_batch_ = std::move(batch);
-  pending_retire_ = std::move(retire);
-  work_cv_.notify_all();
+  jobs_.push_back(Job{std::move(batch), std::move(retire), now_ns()});
+  wake_locked(1);
 }
 
 void TileWorkerPool::drain() {
@@ -235,77 +240,73 @@ void TileWorkerPool::drain() {
   wait_idle_locked(lock);
 }
 
-void TileWorkerPool::consumer_main() {
-  util::ScopedThreadRole role(util::ThreadRole::kTileWorker);
-  for (;;) {
-    std::unique_ptr<FrameBatch> batch;
-    std::function<void(std::unique_ptr<FrameBatch>)> retire;
-    {
-      std::unique_lock lock(mutex_);
-      // Idle parking, not a progress wait: nothing is owed to anyone until
-      // a batch is submitted, so no deadline applies.
-      work_cv_.wait(lock, [this] {  // cycada-lint: allow(idle parking)
-        return stopping_ || pending_batch_ != nullptr;
-      });
-      if (stopping_) return;
-      batch = std::move(pending_batch_);
-      retire = std::move(pending_retire_);
-      executing_ = true;
-    }
-    static trace::Counter& async_frames =
-        metrics().counter("pipeline.frames.async");
-    async_frames.add();
-    execute_frame(*batch);
-    retire(std::move(batch));
-    {
-      std::lock_guard lock(mutex_);
-      executing_ = false;
-    }
-    idle_cv_.notify_all();
+void TileWorkerPool::wake_locked(std::size_t n) {
+  for (; n > 0 && !parked_.empty(); --n) {
+    // Under the lock: the signal lives on the parked thread's stack.
+    parked_.back()->notify_one();
+    parked_.pop_back();
   }
 }
 
-void TileWorkerPool::helper_main(int /*slot*/) {
+void TileWorkerPool::worker_main() {
   util::ScopedThreadRole role(util::ThreadRole::kTileWorker);
   static util::FaultPoint& worker_fault =
       util::FaultRegistry::instance().point("gpu.tile_worker");
-  for (;;) {
-    Phase* phase = nullptr;
-    std::uint64_t joined_generation = 0;
-    {
-      std::unique_lock lock(mutex_);
-      work_cv_.wait(lock, [this] {  // cycada-lint: allow(idle parking)
-        return stopping_ || active_phase_.load(std::memory_order_relaxed) !=
-                                nullptr;
-      });
-      if (stopping_) return;
-      phase = active_phase_.load(std::memory_order_relaxed);
-      if (phase == nullptr) continue;
-      joined_generation = phase_generation_;
-      // Check in under the lock: the coordinator clears active_phase_ under
-      // the same lock before waiting for helpers_in_phase_ to hit zero, so a
-      // checked-in helper always works on a live phase. The counter lives on
-      // the (immortal) pool, not the phase, so the final decrement never
-      // races the coordinator freeing the phase.
-      helpers_in_phase_.fetch_add(1, std::memory_order_relaxed);
+  static trace::Counter& async_frames =
+      metrics().counter("pipeline.frames.async");
+  static trace::Histogram& queue_wait_ns =
+      metrics().histogram("pipeline.stage.queue_wait_ns");
+  const Phase* abandoned = nullptr;  // never rejoin a phase we faulted out of
+  std::unique_lock lock(mutex_);
+  while (!stopping_) {
+    Phase* phase = nullptr;  // the oldest live phase worth joining
+    for (Phase* live : phases_) {
+      if (live != abandoned && live->joinable()) {
+        phase = live;
+        break;
+      }
     }
-    // A fault-injected worker abandons the phase without claiming a tile;
-    // the coordinator (fault-suppressed) completes the frame alone —
-    // degraded to single-threaded raster, never deadlocked.
-    if (!worker_fault.should_fail()) {
-      const int slot_index =
-          phase->participants.fetch_add(1, std::memory_order_relaxed);
-      phase->participate(static_cast<std::size_t>(slot_index));
-    }
-    helpers_in_phase_.fetch_sub(1, std::memory_order_acq_rel);
-    // Wait for the phase to be retracted so one phase is never joined twice.
-    // The generation guards against a new phase reusing the same address.
-    // Sliced: the coordinator always retracts once its poll drains the
-    // phase, so this terminates even if a notify is missed under stall.
-    std::unique_lock lock(mutex_);
-    while (!(stopping_ || phase_generation_ != joined_generation ||
-             active_phase_.load(std::memory_order_relaxed) == nullptr)) {
-      work_cv_.wait_for(lock, std::chrono::milliseconds(5));
+    if (!jobs_.empty()) {
+      // Coordinate the oldest frame: bin, raster (publishing its phases for
+      // the other threads), and retire, all off the pool lock.
+      Job job = std::move(jobs_.front());
+      jobs_.pop_front();
+      ++running_jobs_;
+      lock.unlock();
+      queue_wait_ns.record(now_ns() - job.submitted_ns);
+      async_frames.add();
+      execute_frame(*job.batch);
+      job.retire(std::move(job.batch));
+      lock.lock();
+      if (--running_jobs_ == 0 && jobs_.empty()) idle_cv_.notify_all();
+    } else if (phase != nullptr) {
+      // Check in under the lock: the coordinator retracts the phase under
+      // the same lock and then waits for its helper count to reach zero
+      // before freeing it, so the check-out below is this thread's last
+      // touch of the phase.
+      phase->helpers.fetch_add(1, std::memory_order_relaxed);
+      lock.unlock();
+      // A fault-injected worker abandons the phase without claiming a tile;
+      // the coordinator (fault-suppressed) completes the frame alone —
+      // degraded to single-threaded raster, never deadlocked.
+      if (worker_fault.should_fail()) {
+        abandoned = phase;
+      } else {
+        const int slot_index =
+            phase->participants.fetch_add(1, std::memory_order_relaxed);
+        phase->participate(static_cast<std::size_t>(slot_index));
+      }
+      phase->helpers.fetch_sub(1, std::memory_order_release);
+      lock.lock();
+    } else {
+      // Idle parking, not a progress wait: nothing is owed to anyone until
+      // a job or phase is published, so no deadline applies.
+      std::condition_variable signal;
+      parked_.push_back(&signal);
+      while (std::find(parked_.begin(), parked_.end(), &signal) !=
+             parked_.end()) {
+        signal.wait(lock);  // cycada-lint: allow(idle parking)
+      }
     }
   }
 }
@@ -317,15 +318,12 @@ void TileWorkerPool::run_phase(Phase& phase) {
   // serial until clean frames climb back down.
   WATCHDOG_SCOPE(util::WatchdogDomain::kGpuPhase,
                  util::kWatchdogGpuPhaseBudgetMs);
-  const int tiles = phase.tile_count();
-  // Publish the phase, wake helpers, and participate as the coordinator.
   {
     std::lock_guard lock(mutex_);
     ensure_started_locked();  // sync flushes reach here without submit_async
-    phase_generation_++;
-    active_phase_.store(&phase, std::memory_order_relaxed);
+    phases_.push_back(&phase);
+    wake_locked(phase.ranges.size() - 1);
   }
-  work_cv_.notify_all();
   {
     // The coordinator is the degradation floor: it must finish the frame
     // even when every helper's fault probe fires.
@@ -334,27 +332,17 @@ void TileWorkerPool::run_phase(Phase& phase) {
         phase.participants.fetch_add(1, std::memory_order_relaxed);
     phase.participate(static_cast<std::size_t>(slot_index));
   }
-  // All tiles claimed; poll out stragglers mid-tile. A bounded poll (yield,
-  // then short sleeps) instead of an atomic wait keeps the coordinator
-  // responsive under a stalled helper — it burns 50us naps, never blocks
-  // indefinitely, and the enclosing watchdog scope times the whole drain.
-  for (int spin = 0;
-       phase.tiles_done.load(std::memory_order_acquire) < tiles; ++spin) {
-    if (spin < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  // Retract the phase and poll out any helper still inside its epilogue
-  // (or asleep in a stall-injected fault probe before claiming a tile).
+  // Every tile is claimed. Retract the phase, then poll out its helpers: a
+  // helper checks out only after finishing the tiles it claimed, so a zero
+  // count means every tile is done. A bounded poll (yield, then short
+  // sleeps) keeps the coordinator responsive under a stalled helper — it
+  // never blocks indefinitely, and the enclosing watchdog scope times it.
   {
     std::lock_guard lock(mutex_);
-    active_phase_.store(nullptr, std::memory_order_relaxed);
+    phases_.erase(std::find(phases_.begin(), phases_.end(), &phase));
   }
-  work_cv_.notify_all();
-  for (int spin = 0;
-       helpers_in_phase_.load(std::memory_order_acquire) != 0; ++spin) {
+  for (int spin = 0; phase.helpers.load(std::memory_order_acquire) != 0;
+       ++spin) {
     if (spin < 64) {
       std::this_thread::yield();
     } else {

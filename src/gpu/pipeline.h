@@ -24,9 +24,9 @@
 // The analyzer's pipeline.worker-crossing rule enforces this.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -89,7 +89,10 @@ void execute_frame(FrameBatch& batch);
 // The fixed raster worker pool. Worker count comes from CYCADA_GPU_WORKERS
 // (clamped to [1, 16]) or set_worker_count(); the default is
 // min(4, hardware_concurrency). One worker means no threads are spawned and
-// every batch executes inline on the submitting thread.
+// every batch executes inline on the submitting thread. Otherwise the pool
+// runs that many identical threads: an idle thread coordinates the oldest
+// queued frame or helps the oldest live phase with a free participant slot,
+// so frames from different devices run concurrently.
 class TileWorkerPool {
  public:
   static TileWorkerPool& instance();
@@ -99,9 +102,10 @@ class TileWorkerPool {
   void set_worker_count(int n);
   int worker_count();
 
-  // Hands a batch to the consumer thread and returns immediately. Requires
-  // worker_count() >= 2 (the device falls back to execute_frame inline
-  // otherwise). `retire` runs on the consumer thread after execution.
+  // Queues a batch on the pool's frame FIFO and returns immediately; the
+  // next idle pool thread coordinates it. Requires worker_count() >= 2 (the
+  // device falls back to execute_frame inline otherwise). `retire` runs on
+  // the coordinating pool thread after execution.
   void submit_async(std::unique_ptr<FrameBatch> batch,
                     std::function<void(std::unique_ptr<FrameBatch>)> retire);
   bool async_capable();  // worker_count() >= 2 and pool healthy
@@ -116,40 +120,40 @@ class TileWorkerPool {
  private:
   friend void execute_frame(FrameBatch& batch);
   struct Phase;
+  struct Job {
+    std::unique_ptr<FrameBatch> batch;
+    std::function<void(std::unique_ptr<FrameBatch>)> retire;
+    std::int64_t submitted_ns = 0;
+  };
 
   TileWorkerPool() = default;
   void ensure_started_locked();
   void stop_threads_locked(std::unique_lock<std::mutex>& lock);
-  void helper_main(int slot);
-  void consumer_main();
+  void worker_main();
+  // Wakes up to `n` parked threads, most recently parked first: its core
+  // and caches are the warmest, and the others stay idle.
+  void wake_locked(std::size_t n);
 
-  // Runs one phase's tiles on the caller plus any idle helpers.
+  // Runs one phase's tiles on the caller plus any idle pool threads.
   void run_phase(Phase& phase);
 
-  // Deadline-sliced wait for the async slot to go idle (supervised by the
-  // kGpuPhase watchdog domain; the in-flight frame always terminates).
+  // Deadline-sliced wait for the FIFO to empty and every job to retire
+  // (supervised by the kGpuPhase watchdog domain; jobs always terminate).
   void wait_idle_locked(std::unique_lock<std::mutex>& lock);
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;   // helpers + consumer wait here
   std::condition_variable idle_cv_;   // drain()/set_worker_count() wait here
   int configured_workers_ = 0;        // 0 = not yet resolved from env
   bool started_ = false;
   bool stopping_ = false;
-  std::vector<std::thread> threads_;  // [0] consumer, rest helpers
+  std::vector<std::thread> threads_;
 
-  // Async frame slot (capacity 1: one batch in flight, one recording).
-  std::unique_ptr<FrameBatch> pending_batch_;
-  std::function<void(std::unique_ptr<FrameBatch>)> pending_retire_;
-  bool executing_ = false;
-
-  // Current tile phase helpers can join (null when none). The generation is
-  // bumped per publish so helpers never confuse two phases at one address;
-  // the helper count lives here (not on the phase) so the final decrement
-  // cannot race phase destruction.
-  std::atomic<Phase*> active_phase_{nullptr};
-  std::uint64_t phase_generation_ = 0;
-  std::atomic<int> helpers_in_phase_{0};
+  std::deque<Job> jobs_;        // submitted frames, oldest first
+  int running_jobs_ = 0;        // popped, not yet retired
+  std::vector<Phase*> phases_;  // live tile phases, oldest first
+  // Idle threads' own wake-up signals, most recently parked last; a thread
+  // is parked while its signal is listed.
+  std::vector<std::condition_variable*> parked_;
 };
 
 }  // namespace cycada::gpu

@@ -2,14 +2,17 @@
 // property is determinism: the framebuffer produced at N workers must be
 // byte-identical to N=1 on the same scene, whatever order tiles complete or
 // get stolen in. The rest exercises the async lifecycle (drain on teardown
-// mid-flight) and the fault-degrade path (a failing worker pool falls back
-// to single-threaded raster instead of deadlocking).
+// mid-flight, frames from different devices in flight together) and the
+// fault-degrade path (a failing worker pool falls back to single-threaded
+// raster instead of deadlocking).
 #include "gpu/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "gpu/device.h"
@@ -98,6 +101,36 @@ std::vector<std::uint32_t> render_scene(GpuDevice& dev, std::uint32_t seed,
   return pixels;
 }
 
+// A seeded frame of fewer than kKickBatchSize commands, so nothing executes
+// before the caller's own submit_frame().
+RenderTargetHandle record_small_frame(GpuDevice& dev, std::uint32_t seed) {
+  const RenderTargetHandle target = dev.create_target(128, 128, true);
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> pos(-1.2f, 1.2f);
+  std::uniform_real_distribution<float> channel(0.f, 1.f);
+  dev.submit_clear(target, std::nullopt, true,
+                   {channel(rng), channel(rng), channel(rng), 1.f}, true, 1.f);
+  for (int i = 0; i < 4; ++i) {
+    RasterState state;
+    state.depth_test = i % 2 == 0;
+    const Color color{channel(rng), channel(rng), channel(rng), 1.f};
+    const float z = pos(rng) * 0.5f;
+    dev.submit_draw(target, state, PrimitiveKind::kTriangles,
+                    {vtx(pos(rng), pos(rng), z, color),
+                     vtx(pos(rng), pos(rng), z, color),
+                     vtx(pos(rng), pos(rng), z, color)});
+  }
+  return target;
+}
+
+std::vector<std::uint32_t> read_target(GpuDevice& dev,
+                                       RenderTargetHandle target) {
+  std::vector<std::uint32_t> pixels(128 * 128);
+  EXPECT_TRUE(dev.read_pixels(target, 0, 0, 128, 128, pixels.data(), 128)
+                  .is_ok());
+  return pixels;
+}
+
 TEST_F(PipelineTest, FramebufferIsByteIdenticalAcrossWorkerCounts) {
   for (const std::uint32_t seed : {1u, 7u, 42u}) {
     TileWorkerPool::instance().set_worker_count(1);
@@ -148,6 +181,59 @@ TEST_F(PipelineTest, AsyncFrameRetiresFenceAndSurvivesTeardownMidFlight) {
   EXPECT_EQ(pixels[100 * 256 + 128], 0xffffffffu);  // white triangle interior
   // The pool restarts transparently after a shutdown.
   (void)render_scene(dev(), 9);
+}
+
+// The pool is process-global but must not serialize devices: while device
+// A's frame is held in flight, device B's submit_frame() returns at once
+// (it queues behind nobody), and both screens match the serial reference.
+TEST_F(PipelineTest, StalledFrameOnOneDeviceDoesNotBlockAnothersSubmit) {
+  TileWorkerPool::instance().set_worker_count(1);
+  std::vector<std::uint32_t> reference_a, reference_b;
+  {
+    GpuDevice device;
+    const RenderTargetHandle target_a = record_small_frame(device, 5);
+    device.submit_frame();
+    reference_a = read_target(device, target_a);
+    const RenderTargetHandle target_b = record_small_frame(device, 6);
+    device.submit_frame();
+    reference_b = read_target(device, target_b);
+  }
+
+  TileWorkerPool::instance().set_worker_count(4);
+  GpuDevice device_a, device_b;
+  util::FaultPoint& fault =
+      util::FaultRegistry::instance().point("gpu.tile_worker");
+  const std::uint64_t stalls_before = fault.stalls();
+  fault.arm_stall(300, 1);  // the frame-level probe holds A's frame
+  RenderTargetHandle target_a = kNoHandle, target_b = kNoHandle;
+  FenceHandle fence_a = kNoHandle;
+  std::thread([&] {
+    target_a = record_small_frame(device_a, 5);
+    fence_a = device_a.submit_fence();
+    device_a.submit_frame();
+  }).join();
+  // A's frame is in flight once a pool thread is asleep in its probe.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fault.stalls() == stalls_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(fault.stalls(), stalls_before)
+      << "A's frame never reached a pool thread";
+  bool a_retired_before_b_returned = true;
+  std::thread([&] {
+    target_b = record_small_frame(device_b, 6);
+    device_b.submit_frame();
+    a_retired_before_b_returned = device_a.fence_signaled(fence_a);
+  }).join();
+  fault.disarm_stall();
+
+  EXPECT_FALSE(a_retired_before_b_returned)
+      << "device B's submit waited for device A's frame to retire";
+  EXPECT_EQ(read_target(device_a, target_a), reference_a);
+  EXPECT_EQ(read_target(device_b, target_b), reference_b);
+  EXPECT_TRUE(device_a.fence_signaled(fence_a));
 }
 
 TEST_F(PipelineTest, FaultedWorkersDegradeToSerialWithoutDeadlock) {

@@ -11,10 +11,13 @@
 // An optional .cyt trace (golden corpus) replays inside every session as
 // extra load before the measured frames, paced with --paced.
 //
-// --verify gates the run: every session's final screen must hash
+// --verify gates the run: every session's screen after each test must hash
 // byte-identical (FNV-1a 64) to a reference render in the default session,
 // no session may error, every session must tear down (live count back to
 // the default only), and the cross-session leak evidence must stay zero.
+// Without --test every PassMark test runs in turn. --verify also prints one
+// "hash <session> <test> <fnv>" line per screen so runs at different
+// CYCADA_GPU_WORKERS can be diffed.
 // --keep skips session destruction (leak-diagnosis aid; fails --verify).
 //
 // The run emits fleet.* counters (aggregate throughput, p50/p99 frame
@@ -49,7 +52,7 @@ using namespace cycada;
 struct FleetOptions {
   int sessions = 8;
   int frames = 8;
-  std::string test;  // empty = first PassMark spec
+  std::string test;  // empty = every PassMark spec
   std::string replay_path;
   bool paced = false;
   bool verify = false;
@@ -60,7 +63,7 @@ struct WorkerResult {
   bool ok = false;
   std::string error;
   std::uint64_t primitives = 0;
-  std::uint64_t screen_hash = 0;
+  std::vector<std::uint64_t> screen_hashes;  // one per test, in order
   std::uint64_t replay_calls = 0;
   std::vector<std::int64_t> frame_ns;
 };
@@ -76,12 +79,12 @@ std::uint64_t fnv1a_hash(const Image& image) {
   return hash;
 }
 
-// One app run: init a 128x128 iOS port in the *current* session, warm up,
-// then render `frames` measured frames one at a time (per-frame latency is
-// the fleet's p99 input). The same sequence renders the reference, so the
-// hashes compare byte-for-byte.
-bool run_app(const FleetOptions& options, std::string_view test,
-             WorkerResult& out) {
+// One app run: init a 128x128 iOS port in the *current* session, then per
+// test warm up, render `frames` measured frames one at a time (per-frame
+// latency is the fleet's p99 input) and hash the screen. The same sequence
+// renders the reference, so the hashes compare byte-for-byte.
+bool run_app(const FleetOptions& options,
+             const std::vector<std::string>& tests, WorkerResult& out) {
   auto port = glport::make_ios_port();
   const Status init = port->init(128, 128, 1);
   if (!init.is_ok()) {
@@ -89,34 +92,37 @@ bool run_app(const FleetOptions& options, std::string_view test,
     return false;
   }
   passmark::PassMark passmark(*port);
-  if (!passmark.run(test, 1).is_ok()) {  // warm-up (texture/mesh setup)
-    out.error = "warm-up frame failed";
-    return false;
-  }
-  for (int frame = 0; frame < options.frames; ++frame) {
-    const std::int64_t start = now_ns();
-    auto primitives = passmark.run(test, 1);
-    if (!primitives.is_ok()) {
-      out.error = "frame " + std::to_string(frame) + ": " +
-                  primitives.status().to_string();
+  for (const std::string& test : tests) {
+    if (!passmark.run(test, 1).is_ok()) {  // warm-up (texture/mesh setup)
+      out.error = test + ": warm-up frame failed";
       return false;
     }
-    out.frame_ns.push_back(now_ns() - start);
-    out.primitives += *primitives;
+    for (int frame = 0; frame < options.frames; ++frame) {
+      const std::int64_t start = now_ns();
+      auto primitives = passmark.run(test, 1);
+      if (!primitives.is_ok()) {
+        out.error = test + ": frame " + std::to_string(frame) + ": " +
+                    primitives.status().to_string();
+        return false;
+      }
+      out.frame_ns.push_back(now_ns() - start);
+      out.primitives += *primitives;
+    }
+    const Image screen = port->screen();
+    if (screen.empty()) {
+      out.error = test + ": empty final screen";
+      return false;
+    }
+    out.screen_hashes.push_back(fnv1a_hash(screen));
   }
-  const Image screen = port->screen();
-  if (screen.empty()) {
-    out.error = "empty final screen";
-    return false;
-  }
-  out.screen_hash = fnv1a_hash(screen);
   return true;
 }
 
 // Everything a fleet member does inside its session binding. Split out so
 // the scope (and with it the port, contexts, TLS) unwinds before the
 // session is destroyed.
-void run_session_body(const FleetOptions& options, std::string_view test,
+void run_session_body(const FleetOptions& options,
+                      const std::vector<std::string>& tests,
                       const trace::ParsedTrace* trace, core::Session& session,
                       WorkerResult& out) {
   core::SessionScope scope(session);
@@ -132,7 +138,7 @@ void run_session_body(const FleetOptions& options, std::string_view test,
     }
     out.replay_calls = stats->calls;
   }
-  out.ok = run_app(options, test, out);
+  out.ok = run_app(options, tests, out);
 }
 
 int usage() {
@@ -188,20 +194,24 @@ int main(int argc, char** argv) {
   glport::apply_system_config(glport::SystemConfig::kCycadaIos);
 
   const auto& specs = passmark::test_specs();
-  std::string test = options.test.empty() ? std::string(specs.front().name)
-                                          : options.test;
-  bool known = false;
-  for (const auto& spec : specs) known = known || spec.name == test;
-  if (!known) {
-    std::fprintf(stderr, "cycada_fleet: unknown PassMark test '%s'\n",
-                 test.c_str());
-    return 2;
+  std::vector<std::string> tests;
+  if (!options.test.empty()) {
+    bool known = false;
+    for (const auto& spec : specs) known = known || spec.name == options.test;
+    if (!known) {
+      std::fprintf(stderr, "cycada_fleet: unknown PassMark test '%s'\n",
+                   options.test.c_str());
+      return 2;
+    }
+    tests.push_back(options.test);
+  } else {
+    for (const auto& spec : specs) tests.emplace_back(spec.name);
   }
 
   // Reference render in the default session: the byte-correctness oracle
   // every fleet session is compared against.
   WorkerResult reference;
-  if (!run_app(options, test, reference)) {
+  if (!run_app(options, tests, reference)) {
     std::fprintf(stderr, "cycada_fleet: reference render failed: %s\n",
                  reference.error.c_str());
     return 2;
@@ -223,7 +233,7 @@ int main(int argc, char** argv) {
         out.error = "session create: " + session.status().to_string();
         return;
       }
-      run_session_body(options, test, have_trace ? &trace : nullptr,
+      run_session_body(options, tests, have_trace ? &trace : nullptr,
                        **session, out);
       if (!options.keep) registry.destroy(*session);
     });
@@ -246,13 +256,15 @@ int main(int argc, char** argv) {
                    r.error.c_str());
       continue;
     }
-    if (r.screen_hash != reference.screen_hash) {
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      if (r.screen_hashes[t] == reference.screen_hashes[t]) continue;
       ++hash_mismatches;
       std::fprintf(stderr,
-                   "cycada_fleet: session fleet-%d screen hash %016llx != "
-                   "reference %016llx\n",
-                   i, static_cast<unsigned long long>(r.screen_hash),
-                   static_cast<unsigned long long>(reference.screen_hash));
+                   "cycada_fleet: session fleet-%d '%s' screen hash %016llx "
+                   "!= reference %016llx\n",
+                   i, tests[t].c_str(),
+                   static_cast<unsigned long long>(r.screen_hashes[t]),
+                   static_cast<unsigned long long>(reference.screen_hashes[t]));
     }
     frames_total += r.frame_ns.size();
     primitives_total += r.primitives;
@@ -279,8 +291,12 @@ int main(int argc, char** argv) {
     cross_leaks += leak.count;
   }
 
-  std::printf("cycada_fleet: %d session(s) x %d frame(s) of '%s'%s\n",
-              options.sessions, options.frames, test.c_str(),
+  const std::string workload =
+      tests.size() == 1 ? "'" + tests.front() + "'"
+                        : "each of " + std::to_string(tests.size()) +
+                              " PassMark tests";
+  std::printf("cycada_fleet: %d session(s) x %d frame(s) of %s%s\n",
+              options.sessions, options.frames, workload.c_str(),
               have_trace ? " (+trace replay load)" : "");
   std::printf(
       "  %llu frame(s) in %.3f ms: %.1f frames/s aggregate, "
@@ -322,6 +338,18 @@ int main(int argc, char** argv) {
   trace::emit_bench_json(std::cout, doc.to_json());
 
   if (options.verify) {
+    auto print_hashes = [&](const std::string& label, const WorkerResult& r) {
+      for (std::size_t t = 0; t < r.screen_hashes.size(); ++t) {
+        std::printf("hash %-10s %-22s %016llx\n", label.c_str(),
+                    tests[t].c_str(),
+                    static_cast<unsigned long long>(r.screen_hashes[t]));
+      }
+    };
+    print_hashes("reference", reference);
+    for (int i = 0; i < options.sessions; ++i) {
+      print_hashes("fleet-" + std::to_string(i),
+                   results[static_cast<std::size_t>(i)]);
+    }
     const bool leaked = !options.keep && live_after != live_before;
     const bool pass = errored == 0 && hash_mismatches == 0 && !leaked &&
                       cross_leaks == 0;
