@@ -1,23 +1,17 @@
-// Before/after comparison of the diplomat dispatch fast path, shared by
+// Diplomat dispatch cost and the steady-state lock-freedom check, shared by
 // table3_microbench and table2_diplomat_breakdown.
 //
-// "Before" is a faithful replica of the pre-snapshot registry design — an
-// OrderedMutex at kDiplomatRegistry level plus a std::map<std::string>
-// lookup on every dispatch. "After" is the shipped lock-free path:
-// per-thread cached / hash-probed name resolution and wait-free
-// DiplomatId indexing of the published DispatchTable (docs/DISPATCH.md).
-// The helper also verifies steady-state dispatch takes zero
-// diplomat-registry mutex acquisitions, via the lock-order acquisition
+// Call sites resolve a diplomat once (the paper's step-1 cache) and then
+// dispatch through DiplomatRegistry::entry_by_id (docs/DISPATCH.md). The
+// helper times that by-id path and verifies steady-state dispatch takes
+// zero diplomat-registry mutex acquisitions, via the lock-order acquisition
 // tally. Results land in the metrics registry (and therefore in the
 // BENCH_*.json files scripts/bench_baseline.sh produces; schema in
 // docs/BENCHMARKING.md).
 #pragma once
 
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
-#include <string_view>
 
 #include "core/diplomat.h"
 #include "trace/metrics.h"
@@ -28,38 +22,7 @@ namespace cycada::benchcmp {
 
 inline void keep(void* pointer) { asm volatile("" : "+r"(pointer) : : "memory"); }
 
-// The seed registry design, kept verbatim for an honest baseline.
-class MutexMapRegistry {
- public:
-  core::DiplomatEntry& entry(std::string_view name,
-                             core::DiplomatPattern pattern) {
-    std::lock_guard lock(mutex_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) return *it->second;
-    auto entry = std::make_unique<core::DiplomatEntry>();
-    entry->name = std::string(name);
-    entry->pattern = pattern;
-    core::DiplomatEntry& ref = *entry;
-    entries_.emplace(entry->name, std::move(entry));
-    return ref;
-  }
-
- private:
-  util::OrderedMutex mutex_{util::LockLevel::kDiplomatRegistry,
-                            "bench.baseline_registry"};
-  std::map<std::string, std::unique_ptr<core::DiplomatEntry>, std::less<>>
-      entries_;
-};
-
 struct DispatchComparison {
-  // Name-based dispatch, same literal every call (the shape of a real call
-  // site; hits the per-thread one-entry cache on the lock-free path).
-  double baseline_name_ns = 0;
-  double snapshot_name_ns = 0;
-  // Name-based dispatch rotating over several names (defeats the one-entry
-  // cache; mutex+map find vs lock-free hash probe).
-  double baseline_multi_ns = 0;
-  double snapshot_multi_ns = 0;
   // Resolve-once, index-per-call DiplomatId dispatch.
   double by_id_ns = 0;
   // Lock-order tally over the steady-state phase; must be zero.
@@ -74,8 +37,9 @@ inline constexpr int kCompareNameCount = 8;
 
 template <typename Fn>
 double per_call_ns(int iterations, Fn&& fn) {
-  // One warmup pass, then time.
-  for (int i = 0; i < iterations / 10 + 1; ++i) fn(i);
+  // One untimed pass at full length (so the CPU is warm whatever ran
+  // before), then time.
+  for (int i = 0; i < iterations; ++i) fn(i);
   const std::int64_t start = now_ns();
   for (int i = 0; i < iterations; ++i) fn(i);
   return static_cast<double>(now_ns() - start) / iterations;
@@ -83,77 +47,45 @@ double per_call_ns(int iterations, Fn&& fn) {
 
 inline DispatchComparison run_dispatch_comparison(int iterations = 2000000) {
   DispatchComparison out;
-  MutexMapRegistry baseline;
   core::DiplomatRegistry& registry = core::DiplomatRegistry::instance();
-  constexpr auto kPattern = core::DiplomatPattern::kDirect;
-
-  // Register everything up front so both paths measure pure lookup.
-  for (const char* name : kCompareNames) {
-    (void)baseline.entry(name, kPattern);
-    (void)registry.entry(name, kPattern);
+  core::DiplomatId ids[kCompareNameCount];
+  for (int i = 0; i < kCompareNameCount; ++i) {
+    ids[i] = registry.resolve(kCompareNames[i], core::DiplomatPattern::kDirect);
   }
-  const core::DiplomatId id = registry.resolve(kCompareNames[0], kPattern);
+  const core::DiplomatId id = ids[0];
 
-  out.baseline_name_ns = per_call_ns(iterations, [&](int) {
-    keep(&baseline.entry(kCompareNames[0], kPattern));
-  });
-  out.snapshot_name_ns = per_call_ns(iterations, [&](int) {
-    keep(&registry.entry(kCompareNames[0], kPattern));
-  });
-  out.baseline_multi_ns = per_call_ns(iterations, [&](int i) {
-    keep(&baseline.entry(kCompareNames[i % kCompareNameCount], kPattern));
-  });
-  out.snapshot_multi_ns = per_call_ns(iterations, [&](int i) {
-    keep(&registry.entry(kCompareNames[i % kCompareNameCount], kPattern));
-  });
   out.by_id_ns = per_call_ns(iterations, [&](int) {
     keep(&registry.entry_by_id(id));
   });
 
-  // Steady-state verification: with every name already registered, record
-  // lock acquisitions across a dispatch burst. The read path must never
-  // touch the kDiplomatRegistry writer mutex. (The baseline registry above
-  // shares that level, so it must stay untouched during this phase.)
+  // Steady-state verification: with every name already resolved, record
+  // lock acquisitions across a dispatch burst. By-id dispatch must never
+  // touch the kDiplomatRegistry mutex.
   util::LockOrderGraph& graph = util::LockOrderGraph::instance();
   const bool was_recording = graph.recording();
   graph.set_recording(false);
   graph.reset();
   graph.set_recording(true);
-  constexpr int kSteadyCalls = 100000;
+  constexpr int kSteadyCalls = 200000;
   for (int i = 0; i < kSteadyCalls; ++i) {
-    keep(&registry.entry(kCompareNames[i % kCompareNameCount], kPattern));
-    keep(&registry.entry_by_id(id));
+    keep(&registry.entry_by_id(ids[i % kCompareNameCount]));
   }
   out.steady_registry_acquisitions =
       graph.acquisitions(util::LockLevel::kDiplomatRegistry);
-  out.steady_calls = 2 * kSteadyCalls;
+  out.steady_calls = kSteadyCalls;
   graph.set_recording(false);
   graph.reset();
   graph.set_recording(was_recording);
   return out;
 }
 
-// Prints the human-readable table and mirrors the numbers into the metrics
+// Prints the human-readable rows and mirrors the numbers into the metrics
 // registry under `<prefix>.dispatch.*` (BENCH_*.json schema,
 // docs/BENCHMARKING.md). Sub-nanosecond means are exported as ns x1000.
 inline void report_dispatch_comparison(const DispatchComparison& cmp,
                                        const char* prefix) {
-  const double name_speedup =
-      cmp.snapshot_name_ns > 0 ? cmp.baseline_name_ns / cmp.snapshot_name_ns
-                               : 0;
-  const double multi_speedup =
-      cmp.snapshot_multi_ns > 0 ? cmp.baseline_multi_ns / cmp.snapshot_multi_ns
-                                : 0;
-  std::printf(
-      "\nDiplomat dispatch: before (mutex + map) vs after (snapshot)\n"
-      "%-40s %10.2f ns\n%-40s %10.2f ns  (%.1fx)\n"
-      "%-40s %10.2f ns\n%-40s %10.2f ns  (%.1fx)\n"
-      "%-40s %10.2f ns\n",
-      "name lookup, mutex+map (before)", cmp.baseline_name_ns,
-      "name lookup, snapshot (after)", cmp.snapshot_name_ns, name_speedup,
-      "rotating names, mutex+map (before)", cmp.baseline_multi_ns,
-      "rotating names, snapshot (after)", cmp.snapshot_multi_ns, multi_speedup,
-      "resolved DiplomatId, snapshot (after)", cmp.by_id_ns);
+  std::printf("\nDiplomat dispatch\n%-40s %10.2f ns\n",
+              "resolved DiplomatId (entry_by_id)", cmp.by_id_ns);
   std::printf(
       "steady-state diplomat-registry mutex acquisitions: %llu in %llu "
       "dispatches (%s)\n",
@@ -163,23 +95,12 @@ inline void report_dispatch_comparison(const DispatchComparison& cmp,
                                             : "lock-free: FAIL");
 
   trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
-  auto set = [&](const char* key, double ns) {
-    metrics.counter(std::string(prefix) + ".dispatch." + key)
-        .set(static_cast<std::uint64_t>(ns * 1000.0));
-  };
-  set("baseline_name_ns_x1000", cmp.baseline_name_ns);
-  set("snapshot_name_ns_x1000", cmp.snapshot_name_ns);
-  set("baseline_multi_ns_x1000", cmp.baseline_multi_ns);
-  set("snapshot_multi_ns_x1000", cmp.snapshot_multi_ns);
-  set("by_id_ns_x1000", cmp.by_id_ns);
-  metrics.counter(std::string(prefix) + ".dispatch.speedup_name_x100")
-      .set(static_cast<std::uint64_t>(name_speedup * 100.0));
-  metrics.counter(std::string(prefix) + ".dispatch.speedup_multi_x100")
-      .set(static_cast<std::uint64_t>(multi_speedup * 100.0));
-  metrics.counter(std::string(prefix) + ".dispatch.steady_registry_acquisitions")
+  const std::string key = std::string(prefix) + ".dispatch.";
+  metrics.counter(key + "by_id_ns_x1000")
+      .set(static_cast<std::uint64_t>(cmp.by_id_ns * 1000.0));
+  metrics.counter(key + "steady_registry_acquisitions")
       .set(cmp.steady_registry_acquisitions);
-  metrics.counter(std::string(prefix) + ".dispatch.steady_calls")
-      .set(cmp.steady_calls);
+  metrics.counter(key + "steady_calls").set(cmp.steady_calls);
 }
 
 }  // namespace cycada::benchcmp

@@ -39,9 +39,9 @@ int main() {
     std::printf("  %s\n", name.c_str());
   }
 
-  // Before/after cost of resolving and dispatching one of these entry
-  // points (docs/DISPATCH.md) — the per-call indirection Table 2's 344
-  // functions all pay.
+  // Cost of dispatching one of these entry points through its resolved id
+  // (docs/DISPATCH.md) — the per-call indirection Table 2's 344 functions
+  // all pay.
   const auto comparison = cycada::benchcmp::run_dispatch_comparison(500000);
   cycada::benchcmp::report_dispatch_comparison(comparison, "table2");
 

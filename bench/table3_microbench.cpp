@@ -138,21 +138,11 @@ void BM_DiplomatGlPrePost(benchmark::State& state) {
 }
 BENCHMARK(BM_DiplomatGlPrePost);
 
-// --- Dispatch fast path (before/after; docs/DISPATCH.md) --------------------
+// --- Diplomat lookup (docs/DISPATCH.md) --------------------------------------
 
-void BM_DispatchByName_MutexBaseline(benchmark::State& state) {
-  static cycada::benchcmp::MutexMapRegistry* baseline =
-      new cycada::benchcmp::MutexMapRegistry();
-  (void)baseline->entry("bench.bm_dispatch",
-                        cycada::core::DiplomatPattern::kDirect);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(&baseline->entry(
-        "bench.bm_dispatch", cycada::core::DiplomatPattern::kDirect));
-  }
-}
-BENCHMARK(BM_DispatchByName_MutexBaseline);
-
-void BM_DispatchByName_Snapshot(benchmark::State& state) {
+// Name lookup under the registry mutex: what a call site pays once, on its
+// first call, before caching the entry.
+void BM_DispatchByName(benchmark::State& state) {
   auto& registry = cycada::core::DiplomatRegistry::instance();
   (void)registry.entry("bench.bm_dispatch",
                        cycada::core::DiplomatPattern::kDirect);
@@ -161,9 +151,10 @@ void BM_DispatchByName_Snapshot(benchmark::State& state) {
         "bench.bm_dispatch", cycada::core::DiplomatPattern::kDirect));
   }
 }
-BENCHMARK(BM_DispatchByName_Snapshot);
+BENCHMARK(BM_DispatchByName);
 
-void BM_DispatchById_Snapshot(benchmark::State& state) {
+// The per-call path: a resolved DiplomatId back to its entry, no lock.
+void BM_DispatchById(benchmark::State& state) {
   auto& registry = cycada::core::DiplomatRegistry::instance();
   const cycada::core::DiplomatId id = registry.resolve(
       "bench.bm_dispatch", cycada::core::DiplomatPattern::kDirect);
@@ -171,7 +162,7 @@ void BM_DispatchById_Snapshot(benchmark::State& state) {
     benchmark::DoNotOptimize(&registry.entry_by_id(id));
   }
 }
-BENCHMARK(BM_DispatchById_Snapshot);
+BENCHMARK(BM_DispatchById);
 
 // --- Batched crossings (src/core/batch.h) -----------------------------------
 
@@ -314,8 +305,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Before/after dispatch comparison + steady-state lock-free verification;
-  // the numbers back BENCH_pr3.json (scripts/bench_baseline.sh).
+  // By-id dispatch cost + steady-state lock-free verification; the numbers
+  // land in the bench JSON (scripts/bench_baseline.sh).
   const auto comparison = cycada::benchcmp::run_dispatch_comparison();
   cycada::benchcmp::report_dispatch_comparison(comparison, "table3");
   run_batching_proof();

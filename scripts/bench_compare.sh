@@ -18,8 +18,9 @@
 # injected faults and the recovery ladder's response, not code speed, so
 # they are informational too — the blocking soak gate is the harness's own
 # liveness/recovery asserts in ci.sh. Everything else is printed for
-# information only. The relative threshold is CYCADA_BENCH_THRESHOLD
-# (default 0.10 = 10%).
+# information only. Keys the candidate no longer has are listed by name,
+# so a gate that disappears shows in the log. The relative threshold is
+# CYCADA_BENCH_THRESHOLD (default 0.10 = 10%).
 #
 # Exits 0 when no gated metric regressed, 1 on regression, 2 on usage error.
 set -euo pipefail
@@ -118,8 +119,14 @@ awk -v threshold="${THRESHOLD}" \
       }
     }
     for (key in baseline) if (!(key in candidate)) only_baseline++
-    if (only_baseline > 0)
+    if (only_baseline > 0) {
+      # Named, so a gate that disappears from the candidate shows in the log.
       printf "  (%d metric(s) only in the baseline)\n", only_baseline
+      fflush()
+      for (key in baseline)
+        if (!(key in candidate)) print "    " key | "sort"
+      close("sort")
+    }
     if (only_candidate > 0)
       printf "  (%d metric(s) only in the candidate)\n", only_candidate
     if (regressions > 0) {

@@ -1,8 +1,9 @@
 // Tile-pipeline thread-ownership checker (docs/PIPELINE.md): GPU tile
 // workers execute pre-resolved raster work and must never initiate persona
-// crossings or diplomat calls. The guards in sys_set_persona and
-// diplomat_call count violations into "pipeline.worker.crossings"; this
-// checker turns any nonzero count into a blocking finding.
+// crossings or diplomat calls. The guards in the kernel's crossing
+// syscalls (sys_set_persona, sys_persona_batch_begin) count each violating
+// crossing once into "pipeline.worker.crossings"; this checker turns any
+// nonzero count into a blocking finding.
 #include <string>
 
 #include "analyze/analyze.h"

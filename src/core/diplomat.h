@@ -20,8 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,13 +31,9 @@
 #include "trace/metrics.h"
 #include "trace/trace.h"
 #include "util/clock.h"
-#include "util/epoch.h"
 #include "util/lock_order.h"
-#include "util/thread_role.h"
 
 namespace cycada::core {
-
-class Session;
 
 enum class DiplomatPattern : std::uint8_t {
   kDirect,         // straight invocation of one Android function
@@ -98,8 +93,8 @@ struct DiplomatContract {
   }
 };
 
-// Dense index of a registered diplomat in the published DispatchTable.
-// Resolved once per call site; indexing the snapshot array with it is
+// Dense index of a registered diplomat, assigned in registration order.
+// Resolved once per call site; entry_by_id() turns it back into the entry
 // wait-free (docs/DISPATCH.md).
 using DiplomatId = std::uint32_t;
 inline constexpr DiplomatId kInvalidDiplomatId = 0xffffffffu;
@@ -123,10 +118,6 @@ struct DiplomatEntry {
   // data behind Figures 7-10, now with percentiles rather than only means.
   trace::Histogram latency;
   DiplomatContract contract;
-  // Owning session for entries created with register_session_local();
-  // nullptr for entries in the shared table. Entries are immortal either
-  // way — a cached pointer outlives even the owning session.
-  Session* owner = nullptr;
 
   void record_latency(std::int64_t ns) { latency.record(ns); }
   std::int64_t total_ns() const { return latency.sum(); }
@@ -151,73 +142,27 @@ struct DiplomatSnapshot {
   bool batchable;
 };
 
-// The immutable dispatch snapshot the registry publishes (docs/DISPATCH.md).
-// `entries[id]` is the dense array hot callers index after resolving a
-// DiplomatId once; `index` maps interned names (string_views into the
-// entries' own immortal name strings) to ids, sorted for ordered iteration,
-// while `buckets` hashes the same names for O(1) lookup.
-// A published table is never modified; a superseded table is epoch-retired
-// (util/epoch.h), so readers must pin an EpochReclaimer::Guard while they
-// dereference one. The wait-free by-id dispatch path does not read tables
-// at all — it indexes the registry's immortal segment array.
-struct DispatchTable {
-  std::vector<DiplomatEntry*> entries;
-  // Name-sorted view for ordered iteration (snapshot output, docs).
-  std::vector<std::pair<std::string_view, DiplomatId>> index;
-  // Open-addressed hash index (linear probing, power-of-two sized, at most
-  // half full) for O(1) name lookup; slots hold *positions* into `entries`
-  // (in the shared table positions and ids coincide; in a session's forked
-  // table a local entry can shadow a shared name, so its position and its
-  // id differ), kInvalidDiplomatId marks empty.
-  std::vector<std::uint32_t> buckets;
-  std::uint32_t bucket_mask = 0;
-
-  DiplomatEntry* find_entry(std::string_view name) const;
-  DiplomatId find(std::string_view name) const;
-};
-
 class DiplomatRegistry {
  public:
   static DiplomatRegistry& instance();
 
   void reset();
-  // Finds or creates the entry for `name`. The find path is lock-free: a
-  // per-thread one-entry cache, then a hash probe of the published table;
-  // only first-time registration takes the writer mutex.
+  // Finds or creates the entry for `name` under the registry mutex. Call
+  // sites resolve once and cache the result in a local static (step 1), so
+  // name lookup is off the per-call path. A lookup under a different
+  // pattern than the registered one returns the existing entry and counts a
+  // pattern conflict.
   DiplomatEntry& entry(std::string_view name, DiplomatPattern pattern);
 
-  // Resolve-once half of the fast-path protocol: returns the dense id for
-  // `name` (registering it if needed); hot callers store the id and index
-  // the immortal segment array per call via entry_by_id(), which stays
-  // wait-free and needs no epoch pin (only *tables* are reclaimed; entries
-  // and segments live forever, like the step-1 symbol cache they back).
+  // entry(name, pattern).id: hot callers store the id and dispatch through
+  // entry_by_id(), which takes no lock.
   DiplomatId resolve(std::string_view name, DiplomatPattern pattern);
-
-  // COW dispatch (docs/SESSIONS.md): registers an entry visible only to
-  // lookups made from the calling thread's session. The first local
-  // registration forks a private copy of the session's current table; every
-  // other session keeps reading the shared table untouched. A local entry
-  // shadows a shared entry of the same name within its session. Ids stay
-  // process-unique — locals descend from the top of the id space — so
-  // entry_by_id() works for every session's ids without a session check.
-  // From the default session (or an unbound thread) this is plain entry().
-  DiplomatEntry& register_session_local(std::string_view name,
-                                        DiplomatPattern pattern);
 
   DiplomatEntry& entry_by_id(DiplomatId id) const {
     const IdSegment* segment =
         segments_[id >> kSegmentShift].load(std::memory_order_acquire);
     return *segment->slots[id & (kSegmentSize - 1)].load(
         std::memory_order_acquire);
-  }
-
-  // The current published *shared* snapshot (what every session without a
-  // fork dispatches through). The caller must hold a
-  // util::EpochReclaimer::Guard for as long as it uses the reference:
-  // superseded tables are retired to the reclaimer and freed once every
-  // pinned epoch drains past them.
-  const DispatchTable& table() const {
-    return *table_.load(std::memory_order_acquire);
   }
 
   // Per-function timing for Figures 7-10; off by default (adds two clock
@@ -228,18 +173,11 @@ class DiplomatRegistry {
   std::vector<DiplomatSnapshot> snapshot() const;
 
  private:
-  DiplomatRegistry();
-  // Registration slow path: copy the live table, append, publish (RCU-style
-  // copy-and-publish; see docs/DISPATCH.md for the ordering contract).
-  DiplomatEntry& register_slow(std::string_view name, DiplomatPattern pattern);
-  // Allocates an immortal entry and slots it into the by-id segment array.
-  // Caller holds writer_mutex_.
-  DiplomatEntry* allocate_entry_locked(std::string_view name,
-                                       DiplomatPattern pattern, DiplomatId id);
+  DiplomatRegistry() = default;
 
   // By-id dispatch storage: a two-level array of immortal segments, grown
-  // (never moved) under the writer mutex. Two dependent acquire loads per
-  // dispatch keep entry_by_id wait-free without pinning an epoch.
+  // (never moved) under the mutex. Two dependent acquire loads per dispatch
+  // keep entry_by_id wait-free.
   static constexpr std::size_t kSegmentShift = 8;
   static constexpr std::size_t kSegmentSize = std::size_t{1} << kSegmentShift;
   static constexpr std::size_t kMaxSegments = 64;  // 16384 diplomats
@@ -247,22 +185,16 @@ class DiplomatRegistry {
     std::array<std::atomic<DiplomatEntry*>, kSegmentSize> slots{};
   };
 
-  // Writer-side only: serializes registration and stats resets. The read
-  // path never touches it — the Table 3 microbench asserts zero
+  // Guards the name map, segment growth and stats resets. By-id dispatch
+  // never touches it — the Table 3 microbench asserts zero
   // kDiplomatRegistry acquisitions during steady-state dispatch.
-  mutable util::OrderedMutex writer_mutex_{util::LockLevel::kDiplomatRegistry,
-                                           "core.diplomat_registry"};
-  std::atomic<const DispatchTable*> table_{nullptr};
+  mutable util::OrderedMutex mutex_{util::LockLevel::kDiplomatRegistry,
+                                    "core.diplomat_registry"};
+  // Name -> entry, sorted so snapshot() comes out name-ordered. Entries are
+  // never erased: call sites cache raw pointers and ids to them, and map
+  // nodes never move.
+  std::map<std::string, DiplomatEntry, std::less<>> entries_;
   std::array<std::atomic<IdSegment*>, kMaxSegments> segments_{};
-  // Entry storage: append-only and immortal (call sites cache raw
-  // pointers/ids), guarded by writer_mutex_. Superseded DispatchTables, by
-  // contrast, go to the EpochReclaimer in register_slow().
-  std::vector<std::unique_ptr<DiplomatEntry>> owned_;
-  // Session-local ids descend from the top of the segment id space so
-  // shared ids (ascending, == table position) never renumber. The shared
-  // table keeps its dense id == position invariant forever.
-  DiplomatId next_session_local_id_ =
-      static_cast<DiplomatId>(kSegmentSize * kMaxSegments) - 1;
   std::atomic<bool> profiling_{false};
 };
 
@@ -289,16 +221,6 @@ auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
   const bool capturing = trace::capture_enabled();
   const std::int64_t start_ns = profiling ? now_ns() : 0;
   TRACE_SCOPE("diplomat", entry.name.c_str());
-
-  // GPU tile workers own no persona state and must not cross; a diplomat
-  // dispatched from one is counted and flagged by the analyzer's
-  // pipeline.worker-crossing rule (docs/PIPELINE.md thread-ownership rules).
-  if (util::current_thread_role() == util::ThreadRole::kTileWorker) {
-    static trace::Counter& worker_crossings =
-        trace::MetricsRegistry::instance().counter(
-            "pipeline.worker.crossings");
-    worker_crossings.add();
-  }
 
   // Step 2: prelude in the foreign persona.
   if (hooks.prelude) {

@@ -440,22 +440,28 @@ Tid sys_gettid() {
   return static_cast<Tid>(Kernel::instance().syscall(Sys::kGetTid));
 }
 
-long sys_set_persona(Persona persona) {
-  TRACE_SCOPE("persona", persona == Persona::kIos ? "set_persona(ios)"
-                                                  : "set_persona(android)");
-  static trace::Counter& switches =
-      trace::MetricsRegistry::instance().counter("persona.switches");
-  switches.add();
-  // GPU tile workers execute pre-resolved raster work only; a persona
-  // crossing from one is a thread-ownership violation (docs/PIPELINE.md).
-  // Counted here, turned into a blocking finding by the analyzer's
-  // pipeline.worker-crossing rule.
+namespace {
+// GPU tile workers execute pre-resolved raster work only; a persona
+// crossing from one is a thread-ownership violation (docs/PIPELINE.md).
+// Every crossing syscall counts it here, once; the analyzer's
+// pipeline.worker-crossing rule turns the count into a blocking finding.
+void count_worker_crossing() {
   if (util::current_thread_role() == util::ThreadRole::kTileWorker) {
     static trace::Counter& worker_crossings =
         trace::MetricsRegistry::instance().counter(
             "pipeline.worker.crossings");
     worker_crossings.add();
   }
+}
+}  // namespace
+
+long sys_set_persona(Persona persona) {
+  TRACE_SCOPE("persona", persona == Persona::kIos ? "set_persona(ios)"
+                                                  : "set_persona(android)");
+  static trace::Counter& switches =
+      trace::MetricsRegistry::instance().counter("persona.switches");
+  switches.add();
+  count_worker_crossing();
   SyscallArgs args;
   args.reg[0] = static_cast<std::uint64_t>(persona);
   return Kernel::instance().syscall(Sys::kSetPersona, args);
@@ -469,6 +475,7 @@ long sys_persona_batch_begin(Persona target) {
       trace::MetricsRegistry::instance().counter("persona.switches");
   static trace::Counter& crossings =
       trace::MetricsRegistry::instance().counter("persona.batch.crossings");
+  count_worker_crossing();
   SyscallArgs args;
   args.reg[0] = static_cast<std::uint64_t>(target);
   args.reg[1] = 0;  // open

@@ -12,7 +12,6 @@
 // EAGLContext its own vendor EGL/GLES connection.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -21,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/epoch.h"
 #include "util/lock_order.h"
 #include "util/status.h"
 
@@ -136,25 +134,6 @@ struct NsNameLess {
   }
 };
 
-// Read-mostly snapshot of the linker's replica table, published RCU-style:
-// every mutation (register/load/unload/bypass) rebuilds a fresh immutable
-// view under the writer mutex and swaps it in atomically; read accessors
-// and the shared-copy dlopen fast path consume the snapshot without taking
-// `OrderedRecursiveMutex` (docs/DISPATCH.md). Loaded copies are referenced
-// weakly so the view never extends a library's lifetime — dlclose keeps its
-// use_count()-based unload test.
-struct LinkerView {
-  // name -> replica_aware, for has_image and the bypass-audit pre-check.
-  std::map<std::string, bool, std::less<>> images;
-  // (namespace, name) -> loaded copy (weak; expired entries fall back to
-  // the locked path).
-  std::map<std::pair<NamespaceId, std::string>, std::weak_ptr<LoadedLibrary>,
-           NsNameLess>
-      loaded;
-  std::map<std::string, int, std::less<>> load_counts;
-  std::vector<std::string> replica_bypasses;
-};
-
 class Linker {
  public:
   static Linker& instance();
@@ -218,33 +197,18 @@ class Linker {
   // The owning session (nullptr for directly constructed instances).
   core::Session* owner() const { return owner_; }
 
-  // Retires the final published view to the epoch reclaimer and unloads
-  // every copy. Runs only for per-session linker facets — the default
-  // session's linker is immortal.
-  ~Linker();
-
  private:
   friend class core::Session;
-  Linker();
-
-  // The current published snapshot (never null after construction). The
-  // caller must hold a util::EpochReclaimer::Guard for as long as it
-  // dereferences the view: superseded views are epoch-retired, not
-  // immortal, so an unguarded pointer can be freed under the reader.
-  const LinkerView* view() const {
-    return view_.load(std::memory_order_acquire);
-  }
+  Linker() = default;
 
   StatusOr<std::shared_ptr<LoadedLibrary>> load_locked(std::string_view name,
                                                        NamespaceId ns);
-  // Rebuilds and swaps in the snapshot; callers hold mutex_.
-  void publish_locked();
 
+  // Guards the tables and the namespace counter below, readers included.
+  // Recursive: library constructors run under it and may call back into
+  // the linker.
   mutable util::OrderedRecursiveMutex mutex_{util::LockLevel::kLinker,
                                              "linker"};
-  // Raw atomic pointer (genuinely lock-free, unlike atomic<shared_ptr>);
-  // old snapshots are handed to the EpochReclaimer by publish_locked().
-  std::atomic<const LinkerView*> view_{nullptr};
   std::map<std::string, LibraryImage, std::less<>> images_;
   // (namespace, name) -> loaded copy shared within that namespace.
   std::map<std::pair<NamespaceId, std::string>,

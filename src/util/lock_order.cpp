@@ -74,7 +74,6 @@ const char* lock_level_name(int level) {
     case LockLevel::kKernelThreads: return "kernel-threads";
     case LockLevel::kKernelKeys: return "kernel-keys";
     case LockLevel::kThreadTls: return "thread-tls";
-    case LockLevel::kEpoch: return "epoch";
     case LockLevel::kFaultRegistry: return "fault-registry";
     case LockLevel::kWatchdog: return "watchdog";
     case LockLevel::kSessionRegistry: return "session-registry";

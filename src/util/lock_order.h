@@ -31,7 +31,6 @@ enum class LockLevel : int {
   kKernelThreads = 40,     // kernel::Kernel::registry_mutex_
   kKernelKeys = 50,        // kernel::Kernel::keys_mutex_
   kThreadTls = 60,         // kernel::ThreadState::tls_mutex_
-  kEpoch = 62,             // util::EpochReclaimer::mutex_ (retired list)
   kFaultRegistry = 64,     // util::FaultRegistry::mutex_
   kWatchdog = 66,          // util::Watchdog::threads_mutex_ (slot registry)
   kSessionRegistry = 68,   // core::SessionRegistry::mutex_ (live sessions)
@@ -57,7 +56,7 @@ class LockOrderGraph {
   // Per-level acquisition tally (recorded alongside edges). Unlike edges —
   // which need a lock already held — every acquisition counts, so a zero
   // here proves a level was never locked during the recorded window. The
-  // dispatch benches use this to verify the diplomat read path is
+  // dispatch benches use this to verify by-id diplomat dispatch is
   // mutex-free (docs/DISPATCH.md).
   struct LevelCount {
     int level;

@@ -101,9 +101,8 @@ TEST_F(AnalyzeTest, LintRunsCleanOnTheRealTree) {
 }
 
 TEST_F(AnalyzeTest, ContractCountersBalanceUnderConcurrentLockFreeDispatch) {
-  // The registry's lock-free read path must not cost contract accuracy:
-  // many threads resolving entries by name (per-thread cache + snapshot
-  // probe, no registry mutex) and dispatching with hooks and data-dependent
+  // Concurrent dispatch must not cost contract accuracy: many threads
+  // resolving entries by name and dispatching with hooks and data-dependent
   // skips must leave every counter exactly balanced, so the checker stays
   // clean and the totals add up.
   core::DiplomatEntry& direct =
@@ -213,6 +212,33 @@ TEST_F(AnalyzeTest, DetectsPersonaCrossingFromTileWorker) {
   Report clean;
   check_pipeline_isolation(clean);
   EXPECT_FALSE(clean.has_rule("pipeline.worker-crossing"));
+}
+
+TEST_F(AnalyzeTest, CountsEachTileWorkerCrossingOnce) {
+  trace::Counter& crossings = trace::MetricsRegistry::instance().counter(
+      "pipeline.worker.crossings");
+  core::DiplomatEntry& entry =
+      make_entry("test_worker_crossing", core::DiplomatPattern::kDirect);
+  const kernel::Persona current =
+      kernel::Kernel::instance().current_thread().persona();
+  {
+    util::ScopedThreadRole role(util::ThreadRole::kTileWorker);
+    // A diplomat crosses twice (enter + restore); each crossing counts once.
+    std::uint64_t before = crossings.value();
+    core::diplomat_call(entry, {}, [] {});
+    EXPECT_EQ(crossings.value() - before, 2u);
+
+    // A batched crossing is one crossing, opened by batch_begin.
+    before = crossings.value();
+    const long token =
+        kernel::sys_persona_batch_begin(kernel::Persona::kAndroid);
+    ASSERT_GT(token, 0);
+    ASSERT_EQ(kernel::sys_persona_batch_end(
+                  static_cast<std::uint64_t>(token), current, 0),
+              0);
+    EXPECT_EQ(crossings.value() - before, 1u);
+  }
+  crossings.set(0);  // hygiene for single-process runs
 }
 
 TEST_F(AnalyzeTest, DetectsSkipOnNonDataDependentDiplomat) {

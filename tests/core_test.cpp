@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 
 #include "core/classification.h"
@@ -139,6 +140,21 @@ TEST_F(DiplomatTest, RegistryDeduplicatesEntries) {
   DiplomatEntry& b =
       DiplomatRegistry::instance().entry("glClear", DiplomatPattern::kDirect);
   EXPECT_EQ(&a, &b);
+}
+
+TEST(DiplomatDeathTest, IdSpaceExhaustionAbortsInEveryBuild) {
+  // Names can come from a replayed trace, so running out of ids must stop
+  // the process loudly in release builds too, never overrun the id array.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        DiplomatRegistry& registry = DiplomatRegistry::instance();
+        for (int i = 0; i <= 16384; ++i) {
+          (void)registry.entry("exhaust." + std::to_string(i),
+                               DiplomatPattern::kIndirect);
+        }
+      },
+      "diplomat id space exhausted");
 }
 
 class TrackerTest : public DiplomatTest {};

@@ -1,9 +1,8 @@
-// Lock-free dispatch tests (docs/DISPATCH.md): the snapshot/RCU diplomat
-// registry under concurrent readers and writers, the steady-state
-// zero-lock guarantee the Table 3 microbench also asserts, and the
-// lock-free read paths of the TLS tracker and the linker view. Sized to
-// stay fast under TSan (scripts/check.sh builds this suite with
-// -DCYCADA_TSAN=ON).
+// Dispatch tests (docs/DISPATCH.md): the diplomat registry under
+// concurrent readers and writers, the steady-state zero-lock guarantee of
+// by-id dispatch the Table 3 microbench also asserts, the lock-free read
+// path of the TLS tracker, and linker re-opens. Sized to stay fast under
+// TSan (scripts/check.sh builds this suite with -DCYCADA_TSAN=ON).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +14,6 @@
 #include "core/impersonation.h"
 #include "kernel/kernel.h"
 #include "linker/linker.h"
-#include "util/epoch.h"
 #include "util/lock_order.h"
 
 namespace cycada {
@@ -31,7 +29,7 @@ constexpr const char* kNames[] = {"dispatch.a", "dispatch.b", "dispatch.c",
                                   "dispatch.g", "dispatch.h"};
 constexpr int kNameCount = 8;
 
-// --- Snapshot stability -----------------------------------------------------
+// --- Entry stability --------------------------------------------------------
 
 TEST(DispatchTest, EntriesAndIdsSurviveRepublication) {
   DiplomatRegistry& registry = DiplomatRegistry::instance();
@@ -42,9 +40,9 @@ TEST(DispatchTest, EntriesAndIdsSurviveRepublication) {
     ids[i] = before[i]->id;
     ASSERT_NE(ids[i], core::kInvalidDiplomatId);
   }
-  // Force many copy-and-publish cycles, then verify every cached pointer
-  // and id still resolves to the same entry (the paper's step-1 cache must
-  // never be invalidated by later registrations).
+  // Register many more names, then verify every cached pointer and id
+  // still resolves to the same entry (the paper's step-1 cache must never
+  // be invalidated by later registrations).
   for (int i = 0; i < 64; ++i) {
     (void)registry.entry("dispatch.churn." + std::to_string(i),
                          DiplomatPattern::kDirect);
@@ -54,16 +52,6 @@ TEST(DispatchTest, EntriesAndIdsSurviveRepublication) {
     EXPECT_EQ(&registry.entry_by_id(ids[i]), before[i]);
     EXPECT_EQ(registry.resolve(kNames[i], DiplomatPattern::kDirect), ids[i]);
   }
-  // Ids are dense indices into the published table. Direct table() access
-  // requires an epoch guard: tables retire on every publish now.
-  util::EpochReclaimer::Guard guard;
-  const core::DispatchTable& table = registry.table();
-  for (DiplomatId id = 0; id < table.entries.size(); ++id) {
-    EXPECT_EQ(table.entries[id]->id, id);
-    EXPECT_EQ(table.find(table.entries[id]->name), id);
-  }
-  EXPECT_EQ(table.find("dispatch.never-registered"),
-            core::kInvalidDiplomatId);
 }
 
 // --- Readers vs. a registering writer ---------------------------------------
@@ -100,7 +88,7 @@ TEST(DispatchTest, ConcurrentLookupsSurviveConcurrentRegistration) {
         }
       }
       // One exact-count diplomat call per reader to prove the entry the
-      // lock-free path returned is the live, counting one.
+      // lookup returned is the live, counting one.
       core::diplomat_call(*expected[t % kNameCount], {}, [] {});
     });
   }
@@ -125,10 +113,10 @@ TEST(DispatchTest, ConcurrentLookupsSurviveConcurrentRegistration) {
 // --- Steady-state lock-freedom ----------------------------------------------
 
 TEST(DispatchTest, SteadyStateLookupsNeverTakeTheRegistryMutex) {
+  // Steady-state lookups are by id: call sites resolve once (step 1) and
+  // dispatch through entry_by_id, which must never take the registry mutex.
+  kernel::Kernel::instance().register_current_thread(kernel::Persona::kIos);
   DiplomatRegistry& registry = DiplomatRegistry::instance();
-  for (const char* name : kNames) {
-    (void)registry.entry(name, DiplomatPattern::kDirect);
-  }
   const DiplomatId id = registry.resolve(kNames[0], DiplomatPattern::kDirect);
 
   util::LockOrderGraph& graph = util::LockOrderGraph::instance();
@@ -136,15 +124,13 @@ TEST(DispatchTest, SteadyStateLookupsNeverTakeTheRegistryMutex) {
   graph.reset();
   graph.set_recording(true);
   for (int i = 0; i < 10000; ++i) {
-    (void)registry.entry(kNames[i % kNameCount], DiplomatPattern::kDirect);
-    (void)registry.entry_by_id(id);
+    core::diplomat_call(registry.entry_by_id(id), {}, [] {});
   }
   EXPECT_EQ(graph.acquisitions(util::LockLevel::kDiplomatRegistry), 0u);
 
-  // A genuinely novel name is the slow path and must take the writer mutex
-  // (proving the tally actually observes this level).
-  (void)registry.entry("dispatch.novel-after-steady",
-                       DiplomatPattern::kDirect);
+  // A name lookup, even of a registered name, takes the mutex (proving the
+  // tally actually observes this level).
+  (void)registry.entry(kNames[0], DiplomatPattern::kDirect);
   EXPECT_GT(graph.acquisitions(util::LockLevel::kDiplomatRegistry), 0u);
   graph.set_recording(false);
   graph.reset();
@@ -155,8 +141,7 @@ TEST(DispatchTest, MismatchedPatternLookupsKeepCounting) {
   DiplomatEntry& entry =
       registry.entry("dispatch.conflicted", DiplomatPattern::kDirect);
   const std::uint64_t base = entry.contract.pattern_conflicts.load();
-  // The per-thread cache must not swallow mismatched lookups: each one goes
-  // through the table path and is counted, like the locked design did.
+  // Every mismatched lookup is counted, not only the first.
   (void)registry.entry("dispatch.conflicted", DiplomatPattern::kMulti);
   (void)registry.entry("dispatch.conflicted", DiplomatPattern::kMulti);
   (void)registry.entry("dispatch.conflicted", DiplomatPattern::kMulti);
@@ -213,14 +198,14 @@ TEST(DispatchTest, TlsTrackerMembershipIsCoherentUnderConcurrency) {
   EXPECT_FALSE(tracker.is_graphics_key(kStableKey));
 }
 
-// --- Linker view fast path ---------------------------------------------------
+// --- Linker re-open ------------------------------------------------------------
 
 class TrivialLib : public linker::LibraryInstance {
  public:
   void* symbol(std::string_view) override { return nullptr; }
 };
 
-TEST(DispatchTest, SharedCopyDlopenTakesNoLinkerMutex) {
+TEST(DispatchTest, ReopenReturnsTheSharedCopy) {
   linker::Linker& linker = linker::Linker::instance();
   linker.reset();
   ASSERT_TRUE(linker
@@ -230,11 +215,6 @@ TEST(DispatchTest, SharedCopyDlopenTakesNoLinkerMutex) {
                   .is_ok());
   auto first = linker.dlopen("libdispatch_test.so");
   ASSERT_TRUE(first.is_ok());
-
-  util::LockOrderGraph& graph = util::LockOrderGraph::instance();
-  graph.set_recording(false);
-  graph.reset();
-  graph.set_recording(true);
   for (int i = 0; i < 1000; ++i) {
     auto again = linker.dlopen("libdispatch_test.so");
     ASSERT_TRUE(again.is_ok());
@@ -242,9 +222,7 @@ TEST(DispatchTest, SharedCopyDlopenTakesNoLinkerMutex) {
     EXPECT_TRUE(linker.has_image("libdispatch_test.so"));
     EXPECT_EQ(linker.live_copy_count("libdispatch_test.so"), 1);
   }
-  EXPECT_EQ(graph.acquisitions(util::LockLevel::kLinker), 0u);
-  graph.set_recording(false);
-  graph.reset();
+  EXPECT_EQ(linker.load_count("libdispatch_test.so"), 1);
   ASSERT_TRUE(linker.dlclose(*first).is_ok());
 }
 

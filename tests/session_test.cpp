@@ -1,7 +1,7 @@
-// Session-scoped runtime tests (docs/SESSIONS.md): facet isolation, COW
-// dispatch shadowing, create/destroy churn hygiene, per-session fault
-// targeting, per-session watchdog ladders, and fleet-style neighbor
-// isolation under injected chaos. The suite runs in the CI TSan leg — the
+// Session-scoped runtime tests (docs/SESSIONS.md): facet isolation,
+// create/destroy churn hygiene, per-session fault targeting, per-session
+// watchdog ladders, and fleet-style neighbor isolation under injected
+// chaos. The suite runs in the CI TSan leg — the
 // churn and isolation tests create real concurrency on purpose.
 #include "core/session.h"
 
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/diplomat.h"
 #include "core/impersonation.h"
 #include "glport/gl_port.h"
 #include "glport/system_config.h"
@@ -23,7 +22,6 @@
 #include "passmark/passmark.h"
 #include "trace/metrics.h"
 #include "util/clock.h"
-#include "util/epoch.h"
 #include "util/faultpoint.h"
 #include "util/watchdog.h"
 
@@ -112,92 +110,6 @@ TEST_F(SessionTest, ScopesNestAndRestore) {
   registry.destroy(*b);
 }
 
-// --- COW dispatch -----------------------------------------------------------
-
-TEST_F(SessionTest, SessionLocalDiplomatShadowsOnlyInSession) {
-  DiplomatRegistry& registry = DiplomatRegistry::instance();
-  SessionRegistry& sessions = SessionRegistry::instance();
-  auto session = sessions.create("cow");
-  ASSERT_TRUE(session.is_ok());
-
-  // A shared diplomat everyone sees.
-  DiplomatEntry& shared =
-      registry.entry("session_test.shared", DiplomatPattern::kDirect);
-  util::EpochReclaimer::Guard guard;  // pins the tables we dereference
-  const std::size_t shared_entries = registry.table().entries.size();
-
-  DiplomatEntry* local = nullptr;
-  {
-    SessionScope scope(**session);
-    local = &registry.register_session_local("session_test.local",
-                                             DiplomatPattern::kIndirect);
-    // Local ids come down from the top of the id space so shared ids stay
-    // dense positions.
-    EXPECT_GE(local->id, static_cast<DiplomatId>(1 << 13));
-    EXPECT_EQ(local->owner, *session);
-    // In-session lookup resolves the local entry; the shared one still
-    // resolves too (the fork holds a superset).
-    EXPECT_EQ(&registry.entry("session_test.local", DiplomatPattern::kDirect),
-              local);
-    EXPECT_EQ(&registry.entry("session_test.shared", DiplomatPattern::kDirect),
-              &shared);
-  }
-  // Outside the session the local registration is invisible in the shared
-  // (cross-session) table, which did not grow.
-  EXPECT_EQ(registry.table().find_entry("session_test.local"), nullptr);
-  EXPECT_EQ(registry.table().entries.size(), shared_entries);
-  EXPECT_EQ(registry.table().find_entry("session_test.shared"), &shared);
-
-  // Shadowing: a session-local registration of a *shared* name replaces it
-  // in the fork only.
-  DiplomatEntry* shadow = nullptr;
-  {
-    SessionScope scope(**session);
-    shadow = &registry.register_session_local("session_test.shared",
-                                              DiplomatPattern::kMulti);
-    EXPECT_NE(shadow, &shared);
-    EXPECT_EQ(&registry.entry("session_test.shared", DiplomatPattern::kMulti),
-              shadow);
-    EXPECT_EQ(shadow->pattern, DiplomatPattern::kMulti);
-    // Re-registering the same name in the same session is idempotent.
-    EXPECT_EQ(&registry.register_session_local("session_test.shared",
-                                               DiplomatPattern::kMulti),
-              shadow);
-  }
-  EXPECT_EQ(&registry.entry("session_test.shared", DiplomatPattern::kDirect),
-            &shared);
-
-  sessions.destroy(*session);
-  // After destruction nothing leaks into the shared view.
-  EXPECT_EQ(registry.table().find_entry("session_test.local"), nullptr);
-  EXPECT_EQ(registry.table().find_entry("session_test.shared"), &shared);
-}
-
-TEST_F(SessionTest, SupersededForkTablesDrainThroughTheEpochReclaimer) {
-  util::EpochReclaimer& epoch = util::EpochReclaimer::instance();
-  (void)epoch.try_reclaim();
-  const std::uint64_t reclaimed_before = epoch.reclaimed_total();
-
-  SessionRegistry& sessions = SessionRegistry::instance();
-  auto session = sessions.create("fork-churn");
-  ASSERT_TRUE(session.is_ok());
-  constexpr int kForks = 32;
-  {
-    SessionScope scope(**session);
-    for (int i = 0; i < kForks; ++i) {
-      DiplomatRegistry::instance().register_session_local(
-          "session_test.fork" + std::to_string(i), DiplomatPattern::kDirect);
-    }
-  }
-  sessions.destroy(*session);
-  (void)epoch.try_reclaim();
-  // Every superseded fork (and the final one, retired by the session's
-  // teardown) drains; the first fork's base is the live shared table and is
-  // never retired.
-  EXPECT_GE(epoch.reclaimed_total() - reclaimed_before,
-            static_cast<std::uint64_t>(kForks - 1));
-}
-
 // --- Lifecycle churn --------------------------------------------------------
 
 TEST_F(SessionTest, ChurnLeaksNothingIntoTheDefaultSession) {
@@ -275,9 +187,6 @@ TEST_F(SessionTest, ConcurrentChurnIsRaceFree) {
           (void)gmem::GrallocAllocator::instance().allocate(
               8, 8, PixelFormat::kRgba8888,
               gmem::kUsageCpuRead | gmem::kUsageCpuWrite);
-          DiplomatRegistry::instance().register_session_local(
-              "session_test.churn-t" + std::to_string(t),
-              DiplomatPattern::kDirect);
         }
         registry.destroy(*session);
       }
