@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification matrix: tier-1 build + tests, the cycada_check contract
-# analyzer, and the TSan/ASan/UBSan configurations (DESIGN.md §6).
+# analyzer, and the TSan/ASan/UBSan configurations (DESIGN.md §6), plus
+# the combined ASan+UBSan leg CI runs.
 # Exits non-zero on any finding. From the repo root:
 #
 #   ./scripts/check.sh            # everything
@@ -37,6 +38,12 @@ sanitizer_pass() {
 sanitizer_pass asan CYCADA_ASAN
 sanitizer_pass ubsan CYCADA_UBSAN
 sanitizer_pass tsan CYCADA_TSAN
+
+# --- ASan+UBSan in one tree, over the suites CI's asan-ubsan job runs --------
+run cmake -B build-asan-ubsan -S . -DCYCADA_ASAN=ON -DCYCADA_UBSAN=ON
+run cmake --build build-asan-ubsan -j
+(cd build-asan-ubsan && run ctest --output-on-failure -j "$(nproc)" \
+  -R 'AnalyzeTest|ClassificationTest|TraceReplayTest|BatchTest|cycada_check|RasterTest|RasterGoldenTest')
 
 # --- Optional: refresh the committed benchmark baseline ----------------------
 if [[ "${CYCADA_RUN_BENCH:-0}" == "1" ]]; then

@@ -35,23 +35,6 @@ int default_worker_count() {
   return std::clamp(static_cast<int>(hw == 0 ? 1 : hw), 1, 4);
 }
 
-bool views_overlap(const TextureView& texture, const TargetView& target) {
-  if (texture.texels == nullptr || target.color == nullptr) return false;
-  const std::uint32_t* tex_end =
-      texture.texels + static_cast<std::size_t>(texture.height > 0
-                                                    ? (texture.height - 1)
-                                                    : 0) *
-                           texture.stride_px +
-      texture.width;
-  const std::uint32_t* color_end =
-      target.color + static_cast<std::size_t>(target.height > 0
-                                                  ? (target.height - 1)
-                                                  : 0) *
-                         target.stride_px +
-      target.width;
-  return texture.texels < color_end && target.color < tex_end;
-}
-
 }  // namespace
 
 // One run of consecutive steps rendering into the same target, binned into

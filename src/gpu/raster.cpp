@@ -2,6 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace cycada::gpu {
 
@@ -9,11 +15,157 @@ namespace {
 
 constexpr float kNearEpsilon = 1e-6f;
 
-float blend_factor(BlendFactor factor, float src_component, float src_alpha,
-                   float /*dst_component*/, float dst_alpha) {
+// --- Lanes -------------------------------------------------------------------
+//
+// The fragment stage shades four pixels per step in GCC/Clang vector
+// registers (baseline SSE2 on x86-64). Each lane evaluates the IEEE
+// expression the one-fragment-at-a-time rasterizer evaluated, operand for
+// operand and in the same order, so every lane's bytes equal shading that
+// fragment alone (docs/PIPELINE.md, "Raster kernel").
+
+constexpr int kLanes = 4;
+constexpr int kAllLanes = (1 << kLanes) - 1;
+using F4 = float __attribute__((vector_size(16)));
+using I4 = std::int32_t __attribute__((vector_size(16)));
+using U4 = std::uint32_t __attribute__((vector_size(16)));
+
+constexpr I4 kLaneIndex = {0, 1, 2, 3};
+constexpr F4 kZero = {0.f, 0.f, 0.f, 0.f};
+constexpr F4 kOne = {1.f, 1.f, 1.f, 1.f};
+constexpr I4 kNoLanes = {0, 0, 0, 0};
+constexpr std::int32_t kIntMin = std::numeric_limits<std::int32_t>::min();
+
+// Bit k set when lane k of a comparison mask is set.
+inline int lane_bits(I4 mask) {
+#if defined(__SSE2__)
+  return _mm_movemask_ps((__m128)mask);
+#else
+  return (mask[0] & 1) | (mask[1] & 2) | (mask[2] & 4) | (mask[3] & 8);
+#endif
+}
+
+// static_cast<int>(v) per lane. An out-of-range or NaN lane yields what the
+// scalar conversion yields on the same machine (INT_MIN on x86-64).
+inline I4 truncate(F4 v) {
+#if defined(__SSE2__)
+  return (I4)_mm_cvttps_epi32((__m128)v);
+#else
+  I4 out;
+  for (int k = 0; k < kLanes; ++k) out[k] = static_cast<std::int32_t>(v[k]);
+  return out;
+#endif
+}
+
+inline F4 to_float(I4 v) { return __builtin_convertvector(v, F4); }
+
+// Broadcasts without arithmetic, so -0.f and NaN payloads survive.
+inline F4 splat(float v) { return F4{v, v, v, v}; }
+
+// static_cast<int>(std::floor(v)) per lane: truncation rounds a negative
+// non-integer up, so step it down. |v| >= 2^23 is integral, so the float
+// compare is exact; a lane the conversion saturated keeps its result.
+inline I4 floor_to_int(F4 v) {
+  const I4 t = truncate(v);
+  return t + ((v < to_float(t)) & (t != kIntMin));
+}
+
+// static_cast<int>(std::round(v)): truncate, then step away from zero when
+// the dropped fraction is at least one half. |v| >= 2^23 (and NaN) is
+// already integral, so only the conversion applies.
+inline int round_to_int(float v) {
+  const int t = static_cast<int>(v);
+  if (!(std::fabs(v) < 8388608.f)) return t;
+  const float fraction = v - static_cast<float>(t);
+  if (fraction >= 0.5f) return t + 1;
+  if (fraction <= -0.5f) return t - 1;
+  return t;
+}
+
+// Two's-complement int addition. A screen coordinate beyond int range
+// converts to INT_MIN, and bounding-box padding has always wrapped from
+// there (leaving the box empty); this keeps those bytes without the
+// signed overflow.
+inline int wrapping_add(int a, int b) {
+  return static_cast<int>(static_cast<unsigned>(a) + static_cast<unsigned>(b));
+}
+
+// Lanes outside `bits` read as zero and are never touched in memory, so a
+// row tail never reads or writes past the last live pixel.
+template <class V, class T>
+inline V load_lanes(const T* p, int bits) {
+  V v{};
+  if (bits == kAllLanes) {
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  for (int k = 0; k < kLanes; ++k) {
+    if ((bits >> k) & 1) v[k] = p[k];
+  }
+  return v;
+}
+
+template <class V, class T>
+inline void store_lanes(T* p, V v, int bits) {
+  if (bits == kAllLanes) {
+    std::memcpy(p, &v, sizeof v);
+    return;
+  }
+  for (int k = 0; k < kLanes; ++k) {
+    if ((bits >> k) & 1) p[k] = v[k];
+  }
+}
+
+// Four colors, one per lane, channel-major.
+struct Colors {
+  F4 r, g, b, a;
+};
+
+// unpack_rgba8888 per lane.
+inline Colors unpack(U4 packed) {
+  constexpr float kInv = 1.f / 255.f;
+  const auto channel = [&](int shift) {
+    return to_float((I4)((packed >> shift) & 0xffu)) * kInv;
+  };
+  return {channel(0), channel(8), channel(16), channel(24)};
+}
+
+// pack_rgba8888 per lane. clamp01 then round-half-up to a byte; NaN packs
+// to 0, as the scalar float-to-unsigned conversion produces.
+inline U4 pack(const Colors& c) {
+  const auto to8 = [](F4 v) {
+    v = v > kZero ? v : kZero;
+    v = v > kOne ? kOne : v;
+    return (U4)truncate(v * 255.f + 0.5f);
+  };
+  return to8(c.r) | (to8(c.g) << 8) | (to8(c.b) << 16) | (to8(c.a) << 24);
+}
+
+// Four fragments' interpolated inputs, one per lane.
+struct Frags {
+  F4 z;
+  Colors color;
+  F4 u, v;
+};
+
+inline I4 depth_passes(DepthFunc func, F4 incoming, F4 stored) {
+  switch (func) {
+    case DepthFunc::kNever: return kNoLanes;
+    case DepthFunc::kLess: return incoming < stored;
+    case DepthFunc::kEqual: return incoming == stored;
+    case DepthFunc::kLessEqual: return incoming <= stored;
+    case DepthFunc::kGreater: return incoming > stored;
+    case DepthFunc::kNotEqual: return incoming != stored;
+    case DepthFunc::kGreaterEqual: return incoming >= stored;
+    case DepthFunc::kAlways: return ~kNoLanes;
+  }
+  return ~kNoLanes;
+}
+
+inline F4 blend_factor(BlendFactor factor, F4 src_component, F4 src_alpha,
+                       F4 dst_alpha) {
   switch (factor) {
-    case BlendFactor::kZero: return 0.f;
-    case BlendFactor::kOne: return 1.f;
+    case BlendFactor::kZero: return kZero;
+    case BlendFactor::kOne: return kOne;
     case BlendFactor::kSrcAlpha: return src_alpha;
     case BlendFactor::kOneMinusSrcAlpha: return 1.f - src_alpha;
     case BlendFactor::kDstAlpha: return dst_alpha;
@@ -21,198 +173,375 @@ float blend_factor(BlendFactor factor, float src_component, float src_alpha,
     case BlendFactor::kSrcColor: return src_component;
     case BlendFactor::kOneMinusSrcColor: return 1.f - src_component;
   }
-  return 1.f;
+  return kOne;
 }
 
-bool depth_passes(DepthFunc func, float incoming, float stored) {
-  switch (func) {
-    case DepthFunc::kNever: return false;
-    case DepthFunc::kLess: return incoming < stored;
-    case DepthFunc::kEqual: return incoming == stored;
-    case DepthFunc::kLessEqual: return incoming <= stored;
-    case DepthFunc::kGreater: return incoming > stored;
-    case DepthFunc::kNotEqual: return incoming != stored;
-    case DepthFunc::kGreaterEqual: return incoming >= stored;
-    case DepthFunc::kAlways: return true;
+// --- Per-primitive state -----------------------------------------------------
+
+enum class TexMode : std::uint8_t { kNone, kNearest, kLinear };
+
+// One primitive's draw as the kernel reads it. `texture` is the view
+// actually sampled (see kWhiteTexel).
+struct Shader {
+  const TargetView& target;
+  const RasterState& state;
+  TextureView texture;
+  // The texture aliases the target (framebuffer feedback): a lane may sample
+  // a texel an earlier lane of the same step writes, so lanes shade one at
+  // a time in pixel order.
+  bool feedback = false;
+};
+
+// wrap_coord per lane (`size` >= 1).
+inline I4 wrap_coord(I4 coord, int size, TextureWrap wrap) {
+  if (wrap == TextureWrap::kClampToEdge) {
+    const I4 last = kNoLanes + (size - 1);
+    coord = coord < 0 ? kNoLanes : coord;
+    return coord > last ? last : coord;
   }
-  return true;
+  // A power-of-two modulus is the low bits, negative coords included.
+  if ((size & (size - 1)) == 0) return coord & (size - 1);
+  for (int k = 0; k < kLanes; ++k) {
+    int c = coord[k] % size;
+    if (c < 0) c += size;
+    coord[k] = c;
+  }
+  return coord;
 }
 
-int wrap_coord(int coord, int size, TextureWrap wrap) {
-  if (size <= 0) return 0;
-  if (wrap == TextureWrap::kRepeat) {
-    coord %= size;
-    if (coord < 0) coord += size;
-    return coord;
+inline Colors fetch(const TextureView& texture, I4 x, I4 y) {
+  U4 texels;
+  for (int k = 0; k < kLanes; ++k) {
+    texels[k] =
+        texture.texels[static_cast<std::size_t>(y[k]) * texture.stride_px +
+                       x[k]];
   }
-  return std::clamp(coord, 0, size - 1);
+  return unpack(texels);
 }
 
-// Emits one fragment: depth test, texturing, blending, write-back. Reads
-// and writes only the (x, y) pixel, so concurrent calls on disjoint pixel
-// rects of the same target never race.
-bool shade_fragment(const TargetView& target, const RasterState& state, int x,
-                    int y, float z, Color color, Vec2 uv,
-                    TextureView texture) {
-  float* depth_slot = nullptr;
-  if (state.depth_test) {
-    if (target.depth == nullptr) return false;
-    depth_slot = &target.depth[static_cast<std::size_t>(y) * target.width + x];
-    if (!depth_passes(state.depth_func, z, *depth_slot)) return false;
-  }
+inline F4 lerp_terms(F4 from, F4 to, F4 t) { return from * (1.f - t) + to * t; }
 
-  Color out = color;
-  if (texture.texels != nullptr) {
-    const Color texel = sample_texture(texture, uv, state.filter, state.wrap);
-    out = state.tex_env == TexEnv::kReplace ? texel : texel * color;
-  }
-
-  std::uint32_t* pixel =
-      &target.color[static_cast<std::size_t>(y) * target.stride_px + x];
-  const bool masked = !state.color_mask[0] || !state.color_mask[1] ||
-                      !state.color_mask[2] || !state.color_mask[3];
-  if (state.blend || masked) {
-    const Color dst = unpack_rgba8888(*pixel);
-    const float sa = out.a;
-    const float da = dst.a;
-    const auto combine = [&](float s, float d) {
-      return s * blend_factor(state.blend_src, s, sa, d, da) +
-             d * blend_factor(state.blend_dst, s, sa, d, da);
+template <TexMode kTex>
+Colors sample(const Shader& s, F4 u, F4 v) {
+  const TextureView& t = s.texture;
+  const TextureWrap wrap = s.state.wrap;
+  const float width = static_cast<float>(t.width);
+  const float height = static_cast<float>(t.height);
+  if constexpr (kTex == TexMode::kNearest) {
+    return fetch(t, wrap_coord(floor_to_int(u * width), t.width, wrap),
+                 wrap_coord(floor_to_int(v * height), t.height, wrap));
+  } else {
+    const F4 fx = u * width - 0.5f;
+    const F4 fy = v * height - 0.5f;
+    const I4 x0 = floor_to_int(fx);
+    const I4 y0 = floor_to_int(fy);
+    const F4 tx = fx - to_float(x0);
+    const F4 ty = fy - to_float(y0);
+    const I4 xa = wrap_coord(x0, t.width, wrap);
+    const I4 xb = wrap_coord(x0 + 1, t.width, wrap);
+    const I4 ya = wrap_coord(y0, t.height, wrap);
+    const I4 yb = wrap_coord(y0 + 1, t.height, wrap);
+    const Colors c00 = fetch(t, xa, ya);
+    const Colors c10 = fetch(t, xb, ya);
+    const Colors c01 = fetch(t, xa, yb);
+    const Colors c11 = fetch(t, xb, yb);
+    const auto bilerp = [&](F4 f00, F4 f10, F4 f01, F4 f11) {
+      return lerp_terms(lerp_terms(f00, f10, tx), lerp_terms(f01, f11, tx),
+                        ty);
     };
-    if (state.blend) {
-      out = Color{combine(out.r, dst.r), combine(out.g, dst.g),
-                  combine(out.b, dst.b), combine(out.a, dst.a)};
+    return {bilerp(c00.r, c10.r, c01.r, c11.r),
+            bilerp(c00.g, c10.g, c01.g, c11.g),
+            bilerp(c00.b, c10.b, c01.b, c11.b),
+            bilerp(c00.a, c10.a, c01.a, c11.a)};
+  }
+}
+
+// --- The kernel --------------------------------------------------------------
+//
+// One compile-time variant per (depth test, texture mode, blend-or-mask).
+// shade() runs the fragment stage for the live lanes (`bits`) of pixels
+// (x..x+3, y): depth test, texturing, blend, mask, pack, write-back. It
+// reads and writes only those pixels, so concurrent calls on disjoint
+// pixel rects of the same target never race.
+template <bool kDepth, TexMode kTex, bool kBlend>
+struct Kernel {
+  static std::uint64_t shade(const Shader& s, int x, int y, int bits,
+                             const Frags& f) {
+    const RasterState& state = s.state;
+    float* depth = nullptr;
+    if constexpr (kDepth) {
+      depth = s.target.depth + static_cast<std::size_t>(y) * s.target.width + x;
+      bits &= lane_bits(
+          depth_passes(state.depth_func, f.z, load_lanes<F4>(depth, bits)));
+      if (bits == 0) return 0;
     }
-    if (masked) {
+
+    Colors out = f.color;
+    if constexpr (kTex != TexMode::kNone) {
+      const Colors texel = sample<kTex>(s, f.u, f.v);
+      out = state.tex_env == TexEnv::kReplace
+                ? texel
+                      : Colors{texel.r * f.color.r, texel.g * f.color.g,
+                               texel.b * f.color.b, texel.a * f.color.a};
+    }
+
+    std::uint32_t* pixel =
+        s.target.color + static_cast<std::size_t>(y) * s.target.stride_px + x;
+    if constexpr (kBlend) {
+      const Colors dst = unpack(load_lanes<U4>(pixel, bits));
+      if (state.blend) {
+        const F4 sa = out.a;
+        const F4 da = dst.a;
+        const auto combine = [&](F4 src, F4 d) {
+          return src * blend_factor(state.blend_src, src, sa, da) +
+                 d * blend_factor(state.blend_dst, src, sa, da);
+        };
+        out = Colors{combine(out.r, dst.r), combine(out.g, dst.g),
+                     combine(out.b, dst.b), combine(out.a, dst.a)};
+      }
       if (!state.color_mask[0]) out.r = dst.r;
       if (!state.color_mask[1]) out.g = dst.g;
       if (!state.color_mask[2]) out.b = dst.b;
       if (!state.color_mask[3]) out.a = dst.a;
     }
+    store_lanes(pixel, pack(out), bits);
+    if constexpr (kDepth) {
+      if (state.depth_write) store_lanes(depth, f.z, bits);
+    }
+    return static_cast<std::uint64_t>(__builtin_popcount(bits));
   }
-  *pixel = pack_rgba8888(out);
-  if (depth_slot != nullptr && state.depth_write) *depth_slot = z;
-  return true;
-}
 
-std::uint64_t raster_triangle(const TargetView& target,
-                              const RasterState& state, const ScreenVertex& a,
-                              const ScreenVertex& b, const ScreenVertex& c,
-                              TextureView texture, const PixelRect& limit) {
-  const float area =
-      (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-  if (area == 0.f) return 0;
-  if (state.cull == CullMode::kBack && area > 0.f) return 0;
-  if (state.cull == CullMode::kFront && area < 0.f) return 0;
+  // shade() for one triangle span step, one lane at a time under feedback.
+  static std::uint64_t emit(const Shader& s, int x, int y, int bits,
+                            const Frags& f) {
+    if (!s.feedback) return shade(s, x, y, bits, f);
+    std::uint64_t fragments = 0;
+    for (int k = 0; k < kLanes; ++k) {
+      if ((bits >> k) & 1) fragments += shade(s, x, y, 1 << k, f);
+    }
+    return fragments;
+  }
 
-  const int x0 = std::max(limit.x0, static_cast<int>(
-                                        std::floor(std::min({a.x, b.x, c.x}))));
-  const int y0 = std::max(limit.y0, static_cast<int>(
-                                        std::floor(std::min({a.y, b.y, c.y}))));
-  const int x1 = std::min(limit.x1, static_cast<int>(
-                                        std::ceil(std::max({a.x, b.x, c.x}))));
-  const int y1 = std::min(limit.y1, static_cast<int>(
-                                        std::ceil(std::max({a.y, b.y, c.y}))));
-  if (x0 >= x1 || y0 >= y1) return 0;
+  static std::uint64_t triangle(const Shader& s, const ScreenVertex& a,
+                                const ScreenVertex& b, const ScreenVertex& c,
+                                const PixelRect& limit) {
+    const float area =
+        (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+    if (area == 0.f) return 0;
+    if (s.state.cull == CullMode::kBack && area > 0.f) return 0;
+    if (s.state.cull == CullMode::kFront && area < 0.f) return 0;
 
-  const float inv_area = 1.f / area;
-  // Fill rule: a pixel center exactly on an edge belongs to only one of the
-  // two triangles sharing it. The directed shared edge has opposite
-  // orientation in the two triangles (consistent winding), so an
-  // orientation-sensitive predicate dedups coverage. `sign` normalizes the
-  // winding so the predicate sees a consistent orientation.
-  const float sign = area > 0.f ? 1.f : -1.f;
-  const auto edge_owns_boundary = [sign](float ex, float ey) {
-    ex *= sign;
-    ey *= sign;
-    return ey > 0.f || (ey == 0.f && ex > 0.f);
-  };
-  std::uint64_t fragments = 0;
-  for (int y = y0; y < y1; ++y) {
-    for (int x = x0; x < x1; ++x) {
-      const float px = static_cast<float>(x) + 0.5f;
+    const int x0 = std::max(
+        limit.x0, static_cast<int>(std::floor(std::min({a.x, b.x, c.x}))));
+    const int y0 = std::max(
+        limit.y0, static_cast<int>(std::floor(std::min({a.y, b.y, c.y}))));
+    const int x1 = std::min(
+        limit.x1, static_cast<int>(std::ceil(std::max({a.x, b.x, c.x}))));
+    const int y1 = std::min(
+        limit.y1, static_cast<int>(std::ceil(std::max({a.y, b.y, c.y}))));
+    if (x0 >= x1 || y0 >= y1) return 0;
+
+    const float inv_area = 1.f / area;
+    // Fill rule: a pixel center exactly on an edge belongs to only one of
+    // the two triangles sharing it. The directed shared edge has opposite
+    // orientation in the two triangles (consistent winding), so an
+    // orientation-sensitive predicate dedups coverage. `sign` normalizes
+    // the winding so the predicate sees a consistent orientation. A lane
+    // whose weight w_i is exactly 0 lies on the edge opposite vertex i
+    // (b->c, c->a, a->b) and is dropped unless that edge owns it.
+    const float sign = area > 0.f ? 1.f : -1.f;
+    const auto disowned = [sign](float ex, float ey) {
+      ex *= sign;
+      ey *= sign;
+      return ey > 0.f || (ey == 0.f && ex > 0.f) ? kNoLanes : ~kNoLanes;
+    };
+    const I4 disown0 = disowned(c.x - b.x, c.y - b.y);
+    const I4 disown1 = disowned(a.x - c.x, a.y - c.y);
+    const I4 disown2 = disowned(b.x - a.x, b.y - a.y);
+
+    std::uint64_t fragments = 0;
+    for (int y = y0; y < y1; ++y) {
       const float py = static_cast<float>(y) + 0.5f;
-      // Barycentric weights via edge functions (sign-normalized by area so
-      // both windings rasterize).
-      float w0 = ((b.x - px) * (c.y - py) - (b.y - py) * (c.x - px)) * inv_area;
-      float w1 = ((c.x - px) * (a.y - py) - (c.y - py) * (a.x - px)) * inv_area;
-      float w2 = 1.f - w0 - w1;
-      if (w0 < 0.f || w1 < 0.f || w2 < 0.f) continue;
-      // Boundary tie-break (w_i == 0 means the center lies on the edge
-      // opposite vertex i: b->c, c->a, a->b respectively).
-      if (w0 == 0.f && !edge_owns_boundary(c.x - b.x, c.y - b.y)) continue;
-      if (w1 == 0.f && !edge_owns_boundary(a.x - c.x, a.y - c.y)) continue;
-      if (w2 == 0.f && !edge_owns_boundary(b.x - a.x, b.y - a.y)) continue;
+      for (int x = x0; x < x1; x += kLanes) {
+        const I4 xs = x + kLaneIndex;
+        const F4 px = to_float(xs) + 0.5f;
+        // Barycentric weights via edge functions (sign-normalized by area
+        // so both windings rasterize).
+        const F4 w0 =
+            ((b.x - px) * (c.y - py) - (b.y - py) * (c.x - px)) * inv_area;
+        const F4 w1 =
+            ((c.x - px) * (a.y - py) - (c.y - py) * (a.x - px)) * inv_area;
+        const F4 w2 = 1.f - w0 - w1;
+        const I4 covered = (xs < x1) & ~((w0 < kZero) | (w1 < kZero) |
+                                         (w2 < kZero)) &
+                           ~((w0 == kZero) & disown0) &
+                           ~((w1 == kZero) & disown1) &
+                           ~((w2 == kZero) & disown2);
+        const int bits = lane_bits(covered);
+        if (bits == 0) continue;
 
-      const float z = w0 * a.z + w1 * b.z + w2 * c.z;
-      // Perspective-correct interpolation: weights scaled by 1/w.
-      const float iw = w0 * a.inv_w + w1 * b.inv_w + w2 * c.inv_w;
-      const float p0 = w0 * a.inv_w / iw;
-      const float p1 = w1 * b.inv_w / iw;
-      const float p2 = 1.f - p0 - p1;
-      const Color color = a.color * p0 + b.color * p1 + c.color * p2;
-      const Vec2 uv{a.texcoord.x * p0 + b.texcoord.x * p1 + c.texcoord.x * p2,
-                    a.texcoord.y * p0 + b.texcoord.y * p1 + c.texcoord.y * p2};
-      if (shade_fragment(target, state, x, y, z, color, uv, texture)) {
-        ++fragments;
+        Frags f;
+        f.z = w0 * a.z + w1 * b.z + w2 * c.z;
+        // Perspective-correct interpolation: weights scaled by 1/w.
+        const F4 iw = w0 * a.inv_w + w1 * b.inv_w + w2 * c.inv_w;
+        const F4 p0 = w0 * a.inv_w / iw;
+        const F4 p1 = w1 * b.inv_w / iw;
+        const F4 p2 = 1.f - p0 - p1;
+        const auto mix = [&](float va, float vb, float vc) {
+          return va * p0 + vb * p1 + vc * p2;
+        };
+        f.color = {mix(a.color.r, b.color.r, c.color.r),
+                   mix(a.color.g, b.color.g, c.color.g),
+                   mix(a.color.b, b.color.b, c.color.b),
+                   mix(a.color.a, b.color.a, c.color.a)};
+        if constexpr (kTex != TexMode::kNone) {
+          f.u = mix(a.texcoord.x, b.texcoord.x, c.texcoord.x);
+          f.v = mix(a.texcoord.y, b.texcoord.y, c.texcoord.y);
+        }
+        fragments += emit(s, x, y, bits, f);
       }
     }
+    return fragments;
   }
-  return fragments;
-}
 
-// A line walks the same step sequence regardless of `limit`; fragments
-// whose pixel falls outside it are skipped, so the union over disjoint
-// tiles equals the full-target walk exactly.
-std::uint64_t raster_line(const TargetView& target, const RasterState& state,
-                          const ScreenVertex& a, const ScreenVertex& b,
-                          TextureView texture, const PixelRect& limit) {
-  if (limit.empty()) return 0;
-  const float dx = b.x - a.x;
-  const float dy = b.y - a.y;
-  const int steps =
-      std::max(1, static_cast<int>(std::ceil(std::max(std::fabs(dx),
-                                                      std::fabs(dy)))));
-  std::uint64_t fragments = 0;
-  for (int i = 0; i <= steps; ++i) {
-    const float t = static_cast<float>(i) / steps;
-    const int x = static_cast<int>(std::round(a.x + dx * t));
-    const int y = static_cast<int>(std::round(a.y + dy * t));
-    if (x < limit.x0 || x >= limit.x1 || y < limit.y0 || y >= limit.y1) {
-      continue;
-    }
-    const float z = a.z + (b.z - a.z) * t;
-    const Color color = a.color * (1.f - t) + b.color * t;
-    const Vec2 uv{a.texcoord.x + (b.texcoord.x - a.texcoord.x) * t,
-                  a.texcoord.y + (b.texcoord.y - a.texcoord.y) * t};
-    if (shade_fragment(target, state, x, y, z, color, uv, texture)) {
-      ++fragments;
-    }
-  }
-  return fragments;
-}
+  // A line walks step i = 0..steps to pixel (round(x(i)), round(y(i))),
+  // shading each step alone: consecutive steps can land on one pixel, so
+  // their order matters. x(i) and y(i) are monotonic in i, so the steps
+  // inside `limit` form one interval; a binary search finds it and only
+  // that interval is walked. The union over disjoint tiles therefore equals
+  // the full-target walk exactly.
+  static std::uint64_t line(const Shader& s, const ScreenVertex& a,
+                            const ScreenVertex& b, const PixelRect& limit) {
+    const float dx = b.x - a.x;
+    const float dy = b.y - a.y;
+    const int steps =
+        std::max(1, static_cast<int>(std::ceil(std::max(std::fabs(dx),
+                                                        std::fabs(dy)))));
+    const auto t_at = [steps](int i) {
+      return static_cast<float>(i) / steps;
+    };
+    const auto x_at = [&](int i) { return round_to_int(a.x + dx * t_at(i)); };
+    const auto y_at = [&](int i) { return round_to_int(a.y + dy * t_at(i)); };
 
-std::uint64_t raster_point(const TargetView& target, const RasterState& state,
-                           const ScreenVertex& v, TextureView texture,
-                           const PixelRect& limit) {
-  if (limit.empty()) return 0;
-  const int half = std::max(0, static_cast<int>(state.point_size / 2.f));
-  const int cx = static_cast<int>(std::round(v.x));
-  const int cy = static_cast<int>(std::round(v.y));
-  std::uint64_t fragments = 0;
-  for (int y = cy - half; y <= cy + half; ++y) {
-    for (int x = cx - half; x <= cx + half; ++x) {
+    int first = 0;
+    int last = steps + 1;
+    // Monotonic in int terms only while no step can leave int range.
+    constexpr float kSafe = 1073741824.f;  // 2^30
+    if (std::fabs(a.x) <= kSafe && std::fabs(b.x) <= kSafe &&
+        std::fabs(a.y) <= kSafe && std::fabs(b.y) <= kSafe) {
+      // First step in [first, last) where a monotone predicate turns true.
+      const auto first_where = [&](auto pred) {
+        int lo = first, hi = last;
+        while (lo < hi) {
+          const int mid = lo + (hi - lo) / 2;
+          if (pred(mid)) {
+            hi = mid;
+          } else {
+            lo = mid + 1;
+          }
+        }
+        return lo;
+      };
+      // Narrows [first, last) to the steps whose coordinate is in [lo, hi).
+      const auto narrow = [&](auto coord_at, float delta, int lo, int hi) {
+        int begin, end;
+        if (delta >= 0.f) {
+          begin = first_where([&](int i) { return coord_at(i) >= lo; });
+          end = first_where([&](int i) { return coord_at(i) >= hi; });
+        } else {
+          begin = first_where([&](int i) { return coord_at(i) < hi; });
+          end = first_where([&](int i) { return coord_at(i) < lo; });
+        }
+        first = begin;
+        last = end;
+      };
+      narrow(x_at, dx, limit.x0, limit.x1);
+      narrow(y_at, dy, limit.y0, limit.y1);
+    }
+
+    std::uint64_t fragments = 0;
+    for (int i = first; i < last; ++i) {
+      const float t = t_at(i);
+      const int x = x_at(i);
+      const int y = y_at(i);
       if (x < limit.x0 || x >= limit.x1 || y < limit.y0 || y >= limit.y1) {
         continue;
       }
-      if (shade_fragment(target, state, x, y, v.z, v.color, v.texcoord,
-                         texture)) {
-        ++fragments;
-      }
+      Frags f{};
+      f.z[0] = a.z + (b.z - a.z) * t;
+      f.color.r[0] = a.color.r * (1.f - t) + b.color.r * t;
+      f.color.g[0] = a.color.g * (1.f - t) + b.color.g * t;
+      f.color.b[0] = a.color.b * (1.f - t) + b.color.b * t;
+      f.color.a[0] = a.color.a * (1.f - t) + b.color.a * t;
+      f.u[0] = a.texcoord.x + (b.texcoord.x - a.texcoord.x) * t;
+      f.v[0] = a.texcoord.y + (b.texcoord.y - a.texcoord.y) * t;
+      fragments += shade(s, x, y, 1, f);
     }
+    return fragments;
   }
-  return fragments;
-}
+
+  // A point is a square of identical fragments, each shaded at width 1.
+  static std::uint64_t point(const Shader& s, const ScreenVertex& v,
+                             const PixelRect& limit) {
+    const std::int64_t half =
+        std::max(0, static_cast<int>(s.state.point_size / 2.f));
+    const std::int64_t cx = round_to_int(v.x);
+    const std::int64_t cy = round_to_int(v.y);
+    const auto clamp_to = [](std::int64_t v, int lo, int hi) {
+      return static_cast<int>(std::clamp<std::int64_t>(v, lo, hi));
+    };
+    const int x0 = clamp_to(cx - half, limit.x0, limit.x1);
+    const int y0 = clamp_to(cy - half, limit.y0, limit.y1);
+    const int x1 = clamp_to(cx + half + 1, limit.x0, limit.x1);
+    const int y1 = clamp_to(cy + half + 1, limit.y0, limit.y1);
+    Frags f;
+    f.z = splat(v.z);
+    f.color = {splat(v.color.r), splat(v.color.g), splat(v.color.b),
+               splat(v.color.a)};
+    f.u = splat(v.texcoord.x);
+    f.v = splat(v.texcoord.y);
+    std::uint64_t fragments = 0;
+    for (int y = y0; y < y1; ++y) {
+      for (int x = x0; x < x1; ++x) fragments += shade(s, x, y, 1, f);
+    }
+    return fragments;
+  }
+
+  static std::uint64_t raster(const Shader& s, const ScreenPrim& prim,
+                              const PixelRect& limit) {
+    switch (prim.kind) {
+      case PrimitiveKind::kTriangles:
+        return triangle(s, prim.v[0], prim.v[1], prim.v[2], limit);
+      case PrimitiveKind::kLines:
+        return line(s, prim.v[0], prim.v[1], limit);
+      case PrimitiveKind::kPoints:
+        return point(s, prim.v[0], limit);
+    }
+    return 0;
+  }
+};
+
+using PrimKernel = std::uint64_t (*)(const Shader&, const ScreenPrim&,
+                                     const PixelRect&);
+
+// Indexed [depth test][TexMode][blend or color mask].
+constexpr PrimKernel kKernels[2][3][2] = {
+    {{Kernel<false, TexMode::kNone, false>::raster,
+      Kernel<false, TexMode::kNone, true>::raster},
+     {Kernel<false, TexMode::kNearest, false>::raster,
+      Kernel<false, TexMode::kNearest, true>::raster},
+     {Kernel<false, TexMode::kLinear, false>::raster,
+      Kernel<false, TexMode::kLinear, true>::raster}},
+    {{Kernel<true, TexMode::kNone, false>::raster,
+      Kernel<true, TexMode::kNone, true>::raster},
+     {Kernel<true, TexMode::kNearest, false>::raster,
+      Kernel<true, TexMode::kNearest, true>::raster},
+     {Kernel<true, TexMode::kLinear, false>::raster,
+      Kernel<true, TexMode::kLinear, true>::raster}}};
+
+// Sampling a texture with no texels in it yields white; one white texel
+// under nearest filtering yields the same for any uv and wrap.
+constexpr std::uint32_t kWhiteTexel = 0xffffffffu;
 
 PixelRect triangle_bbox(const ScreenVertex& a, const ScreenVertex& b,
                         const ScreenVertex& c, const PixelRect& clip) {
@@ -245,36 +574,21 @@ PixelRect clip_rect(const TargetView& target, const RasterState& state) {
   return b;
 }
 
-Color sample_texture(TextureView texture, Vec2 uv, TextureFilter filter,
-                     TextureWrap wrap) {
-  if (texture.texels == nullptr || texture.width <= 0 || texture.height <= 0) {
-    return {1.f, 1.f, 1.f, 1.f};
-  }
-  const auto texel_at = [&](int x, int y) {
-    x = wrap_coord(x, texture.width, wrap);
-    y = wrap_coord(y, texture.height, wrap);
-    return unpack_rgba8888(
-        texture.texels[static_cast<std::size_t>(y) * texture.stride_px + x]);
-  };
-  if (filter == TextureFilter::kNearest) {
-    const int x = static_cast<int>(std::floor(uv.x * texture.width));
-    const int y = static_cast<int>(std::floor(uv.y * texture.height));
-    return texel_at(x, y);
-  }
-  // Bilinear.
-  const float fx = uv.x * texture.width - 0.5f;
-  const float fy = uv.y * texture.height - 0.5f;
-  const int x0 = static_cast<int>(std::floor(fx));
-  const int y0 = static_cast<int>(std::floor(fy));
-  const float tx = fx - x0;
-  const float ty = fy - y0;
-  const Color c00 = texel_at(x0, y0);
-  const Color c10 = texel_at(x0 + 1, y0);
-  const Color c01 = texel_at(x0, y0 + 1);
-  const Color c11 = texel_at(x0 + 1, y0 + 1);
-  const Color top = c00 * (1.f - tx) + c10 * tx;
-  const Color bottom = c01 * (1.f - tx) + c11 * tx;
-  return top * (1.f - ty) + bottom * ty;
+bool views_overlap(const TextureView& texture, const TargetView& target) {
+  if (texture.texels == nullptr || target.color == nullptr) return false;
+  const std::uint32_t* tex_end =
+      texture.texels + static_cast<std::size_t>(texture.height > 0
+                                                    ? (texture.height - 1)
+                                                    : 0) *
+                           texture.stride_px +
+      texture.width;
+  const std::uint32_t* color_end =
+      target.color + static_cast<std::size_t>(target.height > 0
+                                                  ? (target.height - 1)
+                                                  : 0) *
+                         target.stride_px +
+      target.width;
+  return texture.texels < color_end && target.color < tex_end;
 }
 
 std::uint64_t build_screen_prims(const TargetView& target,
@@ -354,14 +668,18 @@ std::uint64_t build_screen_prims(const TargetView& target,
         // bbox so tile coverage never misses a plotted pixel (the walk's
         // own limit check rejects strays exactly).
         PixelRect box;
-        box.x0 = static_cast<int>(
-                     std::floor(std::min(prim.v[0].x, prim.v[1].x))) - 1;
-        box.y0 = static_cast<int>(
-                     std::floor(std::min(prim.v[0].y, prim.v[1].y))) - 1;
-        box.x1 = static_cast<int>(
-                     std::ceil(std::max(prim.v[0].x, prim.v[1].x))) + 1;
-        box.y1 = static_cast<int>(
-                     std::ceil(std::max(prim.v[0].y, prim.v[1].y))) + 1;
+        box.x0 = wrapping_add(static_cast<int>(std::floor(
+                                  std::min(prim.v[0].x, prim.v[1].x))),
+                              -1);
+        box.y0 = wrapping_add(static_cast<int>(std::floor(
+                                  std::min(prim.v[0].y, prim.v[1].y))),
+                              -1);
+        box.x1 = wrapping_add(static_cast<int>(std::ceil(
+                                  std::max(prim.v[0].x, prim.v[1].x))),
+                              1);
+        box.y1 = wrapping_add(static_cast<int>(std::ceil(
+                                  std::max(prim.v[0].y, prim.v[1].y))),
+                              1);
         prim.bbox = intersect(box, clip);
         out.push_back(prim);
       }
@@ -374,11 +692,12 @@ std::uint64_t build_screen_prims(const TargetView& target,
         ScreenPrim prim;
         prim.kind = PrimitiveKind::kPoints;
         prim.v[0] = to_screen(v);
-        const int cx = static_cast<int>(std::round(prim.v[0].x));
-        const int cy = static_cast<int>(std::round(prim.v[0].y));
-        prim.bbox = intersect(PixelRect{cx - half, cy - half, cx + half + 1,
-                                        cy + half + 1},
-                              clip);
+        const int cx = round_to_int(prim.v[0].x);
+        const int cy = round_to_int(prim.v[0].y);
+        prim.bbox = intersect(
+            PixelRect{wrapping_add(cx, -half), wrapping_add(cy, -half),
+                      wrapping_add(cx, half + 1), wrapping_add(cy, half + 1)},
+            clip);
         out.push_back(prim);
       }
       break;
@@ -395,16 +714,24 @@ std::uint64_t raster_screen_prim(const TargetView& target,
   // rect is the same whether `raw_limit` is one tile or the whole target.
   const PixelRect limit = intersect(raw_limit, prim.bbox);
   if (limit.empty()) return 0;
-  switch (prim.kind) {
-    case PrimitiveKind::kTriangles:
-      return raster_triangle(target, state, prim.v[0], prim.v[1], prim.v[2],
-                             texture, limit);
-    case PrimitiveKind::kLines:
-      return raster_line(target, state, prim.v[0], prim.v[1], texture, limit);
-    case PrimitiveKind::kPoints:
-      return raster_point(target, state, prim.v[0], texture, limit);
+  // A depth-tested draw into a target without depth passes no fragment.
+  if (state.depth_test && target.depth == nullptr) return 0;
+
+  Shader s{target, state, texture};
+  TexMode tex = TexMode::kNone;
+  if (texture.texels != nullptr) {
+    tex = state.filter == TextureFilter::kNearest ? TexMode::kNearest
+                                                  : TexMode::kLinear;
+    if (texture.width <= 0 || texture.height <= 0) {
+      s.texture = TextureView{&kWhiteTexel, 1, 1, 1};
+      tex = TexMode::kNearest;
+    }
+    s.feedback = views_overlap(s.texture, target);
   }
-  return 0;
+  const bool masked = !state.color_mask[0] || !state.color_mask[1] ||
+                      !state.color_mask[2] || !state.color_mask[3];
+  return kKernels[state.depth_test][static_cast<int>(tex)]
+                 [state.blend || masked](s, prim, limit);
 }
 
 void clear_rect(const TargetView& target,
@@ -427,28 +754,6 @@ void clear_rect(const TargetView& target,
       std::fill(row + b.x0, row + b.x1, depth_value);
     }
   }
-}
-
-std::uint64_t Rasterizer::draw(TargetView target, const RasterState& state,
-                               PrimitiveKind kind,
-                               std::span<const ShadedVertex> vertices,
-                               TextureView texture) {
-  std::vector<ScreenPrim> prims;
-  triangles_ += build_screen_prims(target, state, kind, vertices, prims);
-  const PixelRect full{0, 0, target.width, target.height};
-  std::uint64_t fragments = 0;
-  for (const ScreenPrim& prim : prims) {
-    fragments += raster_screen_prim(target, state, prim, texture, full);
-  }
-  return fragments;
-}
-
-void Rasterizer::clear(TargetView target,
-                       const std::optional<ScissorRect>& scissor,
-                       bool clear_color, Color color, bool clear_depth,
-                       float depth_value) {
-  clear_rect(target, scissor, clear_color, color, clear_depth, depth_value,
-             PixelRect{0, 0, target.width, target.height});
 }
 
 }  // namespace cycada::gpu

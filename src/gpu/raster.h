@@ -1,17 +1,23 @@
-// The scan-line rasterizer at the bottom of the software GPU. Operates on
-// raw color/depth buffer views; GpuDevice owns resource lookup and hands the
+// The rasterizer at the bottom of the software GPU. Operates on raw
+// color/depth buffer views; GpuDevice owns resource lookup and hands the
 // rasterizer plain spans.
 //
-// Since PR 8 the rasterizer is split into the two stages the tile pipeline
-// needs (docs/PIPELINE.md): build_screen_prims() runs the vertex
-// post-processing once per draw (near-plane clip, perspective divide,
-// viewport transform, bounding boxes) on the binning thread, and
-// raster_screen_prim() shades one primitive clamped to an arbitrary pixel
-// rect — a 64x64 tile in the parallel path, the whole target in the serial
-// one. Per-fragment results depend only on the fragment's own inputs, so
-// rasterizing a primitive tile-by-tile produces bytes identical to scanning
-// its full bounding box, which is what makes N-worker output byte-equal to
-// single-threaded output.
+// Two stages serve the tile pipeline (docs/PIPELINE.md):
+// build_screen_prims() runs the vertex post-processing once per draw
+// (near-plane clip, perspective divide, viewport transform, bounding boxes)
+// on the binning thread, and raster_screen_prim() shades one primitive
+// clamped to an arbitrary pixel rect (a 64x64 tile). Per-fragment results
+// depend only on the fragment's own inputs, so rasterizing a primitive
+// tile-by-tile produces bytes identical to scanning its full bounding box,
+// which is what makes N-worker output byte-equal to single-threaded output.
+//
+// The fragment stage is a set of span kernels ("Raster kernel" in
+// docs/PIPELINE.md): raster_screen_prim() resolves the draw state once per
+// primitive into a compile-time variant (depth test on/off, texture
+// none/nearest/linear, blend-or-color-mask on/off), which shades four
+// pixels of a row per step. Each lane computes the exact IEEE expression
+// of one-fragment-at-a-time shading, so screens are byte-identical to it;
+// tests/raster_reference.cpp keeps that scalar path as the test oracle.
 #pragma once
 
 #include <algorithm>
@@ -97,29 +103,9 @@ void clear_rect(const TargetView& target,
                 Color color, bool clear_depth, float depth_value,
                 const PixelRect& limit);
 
-// Serial façade over the two stages (kept for direct users and as the
-// reference the tiled path must match byte-for-byte).
-class Rasterizer {
- public:
-  // Draws vertices (grouped 3/2/1 per primitive by `kind`) under `state`.
-  // `texture.texels == nullptr` means untextured. Returns fragments shaded.
-  std::uint64_t draw(TargetView target, const RasterState& state,
-                     PrimitiveKind kind, std::span<const ShadedVertex> vertices,
-                     TextureView texture);
-
-  // Clears color and/or depth, honoring the scissor.
-  void clear(TargetView target, const std::optional<ScissorRect>& scissor,
-             bool clear_color, Color color, bool clear_depth,
-             float depth_value);
-
-  std::uint64_t triangles_submitted() const { return triangles_; }
-
- private:
-  std::uint64_t triangles_ = 0;
-};
-
-// Samples `texture` at normalized coordinates under filter/wrap settings.
-Color sample_texture(TextureView texture, Vec2 uv, TextureFilter filter,
-                     TextureWrap wrap);
+// True when `texture` and `target` share memory (framebuffer feedback, a
+// draw sampling its own render target). Such a draw's lanes shade one at a
+// time in pixel order, and the pipeline runs its phase on one thread.
+bool views_overlap(const TextureView& texture, const TargetView& target);
 
 }  // namespace cycada::gpu
