@@ -37,13 +37,12 @@ bool path_contains(const std::string& path, const char* fragment) {
 }
 
 // Files allowed to switch personas directly: the kernel (defines the
-// syscall and the ScopedPersona guard) and the diplomat procedure itself —
-// including its command-buffer arm, which owns the token-bracketed
-// crossings and their forced-recovery fallbacks.
+// syscall and the ScopedPersona guard) and the diplomat procedure itself,
+// whose one crossing serves single, multi and batched calls alike (the
+// command-buffer recorder in core/batch.* crosses only through it).
 bool set_persona_allowed(const std::string& path) {
   return path_contains(path, "kernel/") ||
          path_contains(path, "core/diplomat.h") ||
-         path_contains(path, "core/batch.") ||
          path_contains(path, "analyze/");
 }
 

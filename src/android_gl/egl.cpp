@@ -1,7 +1,5 @@
 #include "android_gl/egl.h"
 
-#include <cstring>
-
 #include "android_gl/ui_wrapper.h"
 #include "android_gl/vendor.h"
 #include "core/session.h"
@@ -53,17 +51,6 @@ AndroidEgl::AndroidEgl() {
   tls_connection_key_ = kernel::libc::pthread_key_create();
   tls_context_key_ = kernel::libc::pthread_key_create();
   tls_error_key_ = kernel::libc::pthread_key_create();
-  // Per-session replica-pool policy: the hosting session may cap the live
-  // and warm replica pools (SessionConfig values of -1 keep the compiled
-  // defaults). Each session loads its own wrapper copy through its linker,
-  // so seeding at construction makes the limits naturally per-session.
-  const core::SessionConfig& config = core::Session::current().config();
-  if (config.max_live_replicas >= 0) {
-    max_live_replicas_ = config.max_live_replicas;
-  }
-  if (config.max_warm_replicas >= 0) {
-    max_warm_replicas_ = config.max_warm_replicas;
-  }
 }
 
 AndroidEgl::~AndroidEgl() {
@@ -335,26 +322,13 @@ EGLBoolean AndroidEgl::eglSwapBuffers(EglSurface* surface) {
   static trace::Histogram& present_wait =
       trace::MetricsRegistry::instance().histogram(
           "pipeline.stage.present_wait_ns");
-  // Composition handoff (HW-Composer scanout), deferred one swap: settle the
-  // PREVIOUS frame — wait out its fence if its raster work is still in
-  // flight — and scan it out before this frame replaces it. Deferring the
-  // copy is what lets a swap return while the pipeline is still rasterizing.
-  {
-    const std::int64_t wait_start = now_ns();
-    surface->sync_front();
-    present_wait.record(now_ns() - wait_start);
-    const gmem::GraphicBuffer& front = surface->front_buffer();
-    auto* pixels = const_cast<gmem::GraphicBuffer&>(front).pixels32();
-    surface->scanout_.resize(static_cast<std::size_t>(surface->width_) *
-                             surface->height_);
-    for (int y = 0; y < surface->height_; ++y) {
-      std::memcpy(
-          surface->scanout_.data() +
-              static_cast<std::size_t>(y) * surface->width_,
-          pixels + static_cast<std::size_t>(y) * front.stride_px(),
-          static_cast<std::size_t>(surface->width_) * sizeof(std::uint32_t));
-    }
-  }
+  // Composition handoff, deferred one swap: settle the PREVIOUS frame —
+  // wait out its fence if its raster work is still in flight — before this
+  // frame replaces it. Deferring the wait is what lets a swap return while
+  // the pipeline is still rasterizing.
+  const std::int64_t wait_start = now_ns();
+  surface->sync_front();
+  present_wait.record(now_ns() - wait_start);
   // Close the recorded commands as this frame and hand them to the tile
   // pipeline — asynchronously when the pool can overlap. The fence gates
   // every CPU consumer of the new front buffer (front_buffer() waits it).

@@ -68,7 +68,6 @@ class EglSurface {
   friend class AndroidEgl;
   std::array<std::shared_ptr<gmem::GraphicBuffer>, 2> buffers_;
   std::array<gpu::RenderTargetHandle, 2> targets_{};
-  std::vector<std::uint32_t> scanout_;  // the composer's view of the frame
   // Signals when the displayed frame's raster work retires. Mutable: waiting
   // it out is logically const for readers.
   mutable gpu::FenceHandle present_fence_ = gpu::kNoHandle;

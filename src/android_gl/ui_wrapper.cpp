@@ -121,7 +121,6 @@ void UiWrapper::teardown() {
   present_texture_ = 0;
   present_image_.reset();
   present_image_buffer_ = 0;
-  scanout_.clear();
   present_fence_ = gpu::kNoHandle;
   back_ = 0;
   creator_ = kernel::kInvalidTid;
@@ -320,21 +319,11 @@ Status UiWrapper::swap_buffers() {
       trace::MetricsRegistry::instance().histogram(
           "pipeline.stage.present_wait_ns");
   // Composition handoff, deferred one swap (same protocol as
-  // eglSwapBuffers): settle the previous frame behind its fence and scan it
-  // out before this frame's flip replaces it.
-  {
-    const std::int64_t wait_start = now_ns();
-    sync_front();
-    present_wait.record(now_ns() - wait_start);
-    const gmem::GraphicBuffer& front = *buffers_[1 - back_];
-    scanout_.resize(static_cast<std::size_t>(width_) * height_);
-    auto* pixels = const_cast<gmem::GraphicBuffer&>(front).pixels32();
-    for (int y = 0; y < height_; ++y) {
-      std::memcpy(scanout_.data() + static_cast<std::size_t>(y) * width_,
-                  pixels + static_cast<std::size_t>(y) * front.stride_px(),
-                  static_cast<std::size_t>(width_) * sizeof(std::uint32_t));
-    }
-  }
+  // eglSwapBuffers): settle the previous frame behind its fence before this
+  // frame's flip replaces it.
+  const std::int64_t wait_start = now_ns();
+  sync_front();
+  present_wait.record(now_ns() - wait_start);
   // Submit this frame to the tile pipeline (async when it can overlap),
   // flip, and re-point the default framebuffer at the new back buffer.
   present_fence_ = device().submit_fence();

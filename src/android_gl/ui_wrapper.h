@@ -102,7 +102,6 @@ class UiWrapper : public linker::LibraryInstance {
   glcore::GLuint present_texture_ = 0;
   std::unique_ptr<glcore::EglImage> present_image_;
   gmem::BufferId present_image_buffer_ = 0;
-  std::vector<std::uint32_t> scanout_;  // the composer's view of the frame
   // Signals when the displayed frame's raster work retires (PR 8 pipeline).
   mutable gpu::FenceHandle present_fence_ = gpu::kNoHandle;
   int replica_global_ = 0;  // exported for DLR address-uniqueness tests

@@ -1,12 +1,12 @@
 #include "core/batch.h"
 
+#include <array>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "trace/cyt.h"
 #include "trace/trace.h"
-#include "util/clock.h"
-#include "util/faultpoint.h"
 #include "util/watchdog.h"
 
 namespace cycada::core {
@@ -41,34 +41,33 @@ thread_local ThreadBatch t_batch;
 // batch was never flushed (the analyzer's batch.unflushed-at-exit rule).
 std::atomic<std::uint64_t> g_pending{0};
 
-constexpr int kCrossingRetries = 3;
+constexpr std::size_t kFlushReasons =
+    static_cast<std::size_t>(BatchFlushReason::kScopeExit) + 1;
 
+// dispatch.batch.flush.<reason>, resolved once.
 trace::Counter& flush_reason_counter(BatchFlushReason reason) {
-  static trace::Counter* counters[] = {
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.explicit"),
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.size_cap"),
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.non_batchable"),
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.direction_change"),
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.context_switch"),
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.impersonation"),
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.degraded"),
-      &trace::MetricsRegistry::instance().counter(
-          "dispatch.batch.flush.scope_exit"),
-  };
-  return *counters[static_cast<int>(reason)];
+  static const auto counters = [] {
+    std::array<trace::Counter*, kFlushReasons> out{};
+    for (std::size_t i = 0; i < kFlushReasons; ++i) {
+      out[i] = &trace::MetricsRegistry::instance().counter(
+          std::string("dispatch.batch.flush.") +
+          batch_flush_reason_name(static_cast<BatchFlushReason>(i)));
+    }
+    return out;
+  }();
+  return *counters[static_cast<std::size_t>(reason)];
 }
 
 // Replays and clears the batch under one token-bracketed crossing, or —
 // when the crossing cannot open — through N plain diplomat calls so every
 // queued call still runs exactly once, in order.
 void replay_batch(ThreadBatch& batch, BatchFlushReason reason) {
+  static trace::Histogram& sizes =
+      trace::MetricsRegistry::instance().histogram("dispatch.batch.size");
+  static trace::Counter& flushes =
+      trace::MetricsRegistry::instance().counter("dispatch.batch.flushes");
+  static trace::Counter& aborted =
+      trace::MetricsRegistry::instance().counter("dispatch.batch.aborted");
   TRACE_SCOPE("diplomat", "batch.flush");
   // A flush replays up to size_cap foreign calls under one crossing; a
   // stall anywhere inside (crossing syscalls, a replayed closure) overruns
@@ -81,31 +80,20 @@ void replay_batch(ThreadBatch& batch, BatchFlushReason reason) {
   batch.opener = nullptr;
   batch.hooks = {};
   g_pending.fetch_sub(items.size(), std::memory_order_relaxed);
-
-  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
+  const int calls = static_cast<int>(items.size());
   flush_reason_counter(reason).add();
-  metrics.histogram("dispatch.batch.size")
-      .record(static_cast<std::int64_t>(items.size()));
+  sizes.record(calls);
 
   // Library prelude once per batch, charged to the opening entry.
-  if (hooks.prelude) {
-    hooks.prelude();
-    opener.contract.preludes.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  kernel::Kernel& kernel = kernel::Kernel::instance();
-  const kernel::Persona caller_persona = batch.caller;
-  const std::uint64_t token = detail::batched_crossing_begin();
-  if (token == 0) {
+  detail::Crossing<detail::CrossingKind::kToken> crossing(
+      kernel::Kernel::instance(), opener, hooks, batch.caller);
+  if (!crossing.open(/*force=*/false)) {
     // Persistent open failure (kernel.set_persona injection): balance the
     // batch prelude, then fall back to the plain single-call procedure for
     // every item — the batch aborts atomically, no call is lost or run in
     // the wrong persona.
-    if (hooks.postlude) {
-      hooks.postlude();
-      opener.contract.postludes.fetch_add(1, std::memory_order_relaxed);
-    }
-    metrics.counter("dispatch.batch.aborted").add();
+    crossing.postlude();
+    aborted.add();
     for (BatchItem& item : items) {
       // Re-stage the call's recorded args so the trace records this batch
       // as exactly the plain-call sequence that actually ran — a replayed
@@ -121,57 +109,23 @@ void replay_batch(ThreadBatch& batch, BatchFlushReason reason) {
 
   for (BatchItem& item : items) {
     item.replay();
-    // Same contract as the single-call procedure: domestic code must hand
-    // control back in the persona the crossing set. Repair directly — the
-    // crossing token is still open, so the trap path is off the table.
-    if (kernel.current_thread().persona() != kernel::Persona::kAndroid) {
-      item.entry->contract.unbalanced_persona.fetch_add(
-          1, std::memory_order_relaxed);
-      kernel.set_persona_direct(kernel::Persona::kAndroid);
-    }
-    item.entry->calls.fetch_add(1, std::memory_order_relaxed);
-    item.entry->contract.domestic_calls.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    item.entry->contract.batched_calls.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    crossing.check_balance(*item.entry);
   }
-
-  // Step 9 once per batch: the last replayed call's errno is what the
-  // foreign caller observes (deferred calls defer their errno too).
-  const long domestic_errno = kernel::libc::get_errno();
-  (void)detail::batched_crossing_end(token, caller_persona,
-                                     static_cast<int>(items.size()));
-  if (caller_persona == kernel::Persona::kIos) {
-    kernel::libc::set_errno(detail::errno_linux_to_darwin(domestic_errno));
-  }
-
-  if (hooks.postlude) {
-    hooks.postlude();
-    opener.contract.postludes.fetch_add(1, std::memory_order_relaxed);
-  }
-  metrics.counter("dispatch.batch.flushes").add();
-  metrics.counter("dispatch.batch.calls").add(items.size());
+  crossing.close(calls);
+  flushes.add();
 
   // Trace capture happens at flush time (not record time), so the file
   // reflects what actually crossed: per-item kBatchedCall events followed
   // by one kBatchFlush closing the shared crossing. The aborted path above
   // records plain kCall events through diplomat_call instead.
-  if (trace::capture_enabled()) {
-    const auto persona = static_cast<std::uint8_t>(caller_persona);
-    for (const BatchItem& item : items) {
-      trace::capture_diplomat_event(
-          trace::CytEventKind::kBatchedCall, item.entry->id, item.entry->name,
-          static_cast<std::uint8_t>(item.entry->pattern),
-          item.entry->batchable, persona, /*aux=*/0, /*reason=*/0,
-          &item.capture);
-    }
-    const trace::CytStagedArgs no_args;
-    trace::capture_diplomat_event(
-        trace::CytEventKind::kBatchFlush, opener.id, opener.name,
-        static_cast<std::uint8_t>(opener.pattern), opener.batchable, persona,
-        static_cast<std::uint32_t>(items.size()),
-        static_cast<std::uint8_t>(reason), &no_args);
+  for (const BatchItem& item : items) {
+    crossing.count(*item.entry, trace::CytEventKind::kBatchedCall, /*aux=*/0,
+                   /*batched=*/1, &item.capture);
   }
+  const trace::CytStagedArgs no_args;
+  crossing.capture(opener, trace::CytEventKind::kBatchFlush,
+                   static_cast<std::uint32_t>(calls),
+                   static_cast<std::uint8_t>(reason), &no_args);
 }
 
 }  // namespace
@@ -239,11 +193,12 @@ void flush_current_batch(BatchFlushReason reason) {
   ThreadBatch& batch = t_batch;
   if (batch.items.empty()) {
     // An empty explicit flush is the no-op crossing: no syscalls at all.
+    static trace::Counter& empty_flushes =
+        trace::MetricsRegistry::instance().counter(
+            "dispatch.batch.empty_flushes");
     if (reason == BatchFlushReason::kExplicit ||
         reason == BatchFlushReason::kScopeExit) {
-      trace::MetricsRegistry::instance()
-          .counter("dispatch.batch.empty_flushes")
-          .add();
+      empty_flushes.add();
     }
     return;
   }
@@ -262,69 +217,5 @@ BatchScope::~BatchScope() {
   }
   t_batch.size_cap = previous_cap_;
 }
-
-namespace detail {
-
-std::uint64_t batched_crossing_begin() {
-  WATCHDOG_SCOPE(util::WatchdogDomain::kCrossing,
-                 util::kWatchdogCrossingBudgetMs);
-  const std::int64_t deadline =
-      now_ns() + util::Watchdog::instance().effective_budget_ms(
-                     util::kWatchdogCrossingBudgetMs) *
-                     1000000;
-  for (int attempt = 0; attempt < kCrossingRetries; ++attempt) {
-    const long token =
-        kernel::sys_persona_batch_begin(kernel::Persona::kAndroid);
-    if (token > 0) {
-      trace::MetricsRegistry::instance()
-          .counter("dispatch.batch.crossings")
-          .add();
-      return static_cast<std::uint64_t>(token);
-    }
-    // A stall-injected syscall can burn the whole budget in one attempt;
-    // retrying past the deadline would multiply the hang. Give up and let
-    // the caller fall back to ordered plain calls.
-    if (now_ns() >= deadline) break;
-    kernel::Kernel::instance().syscall(kernel::Sys::kYield);
-  }
-  return 0;
-}
-
-bool batched_crossing_end(std::uint64_t token, kernel::Persona restore,
-                          int replayed_calls) {
-  WATCHDOG_SCOPE(util::WatchdogDomain::kCrossing,
-                 util::kWatchdogCrossingBudgetMs);
-  const std::int64_t deadline =
-      now_ns() + util::Watchdog::instance().effective_budget_ms(
-                     util::kWatchdogCrossingBudgetMs) *
-                     1000000;
-  for (int attempt = 0; attempt < kCrossingRetries; ++attempt) {
-    if (kernel::sys_persona_batch_end(token, restore, replayed_calls) == 0) {
-      return true;
-    }
-    if (now_ns() >= deadline) {
-      // Watchdog-backed bound on the forced-shut path: a close that both
-      // fails and stalls must not serialize three full stalls before the
-      // persona is repaired.
-      trace::MetricsRegistry::instance()
-          .counter("watchdog.close.bounded")
-          .add();
-      break;
-    }
-    kernel::Kernel::instance().syscall(kernel::Sys::kYield);
-  }
-  // The crossing must close no matter what — a leaked Android persona (and
-  // a stuck token) would corrupt every later syscall on this thread. The
-  // forced close is the ladder's last rung: suppressed, so it can be
-  // neither failed nor delayed by injection.
-  util::FaultSuppressionScope suppress;
-  kernel::Kernel::instance().abort_persona_batch(restore);
-  trace::MetricsRegistry::instance()
-      .counter("dispatch.batch.close_forced")
-      .add();
-  return false;
-}
-
-}  // namespace detail
 
 }  // namespace cycada::core

@@ -4,9 +4,10 @@
 // trip) that dwarf everything else in the eleven-step procedure. Real GL
 // workloads issue long runs of same-direction state setters between any
 // call that needs an answer; this recorder queues those runs per thread
-// and replays them under ONE token-bracketed crossing
-// (sys_persona_batch_begin / sys_persona_batch_end), cutting crossings
-// per GL call from 2 to ~2/N.
+// and replays them under ONE token-bracketed crossing of the diplomat
+// procedure (detail::Crossing<kToken> in core/diplomat.h), cutting
+// crossings per GL call from 2 to ~2/N. The recorder itself makes no
+// persona syscall.
 //
 // Recording rules (enforced by the classifier + the GL dispatch layer):
 //   * only batchable diplomats queue — direct pattern, void return,
@@ -41,10 +42,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "core/diplomat.h"
-#include "kernel/kernel.h"
-#include "kernel/libc.h"
 
 namespace cycada::core {
 
@@ -99,95 +99,17 @@ class BatchScope {
   std::size_t previous_cap_;
 };
 
-namespace detail {
-// Opens one token-bracketed crossing to the Android persona with bounded
-// retries; 0 on persistent failure (caller falls back to single calls).
-std::uint64_t batched_crossing_begin();
-// Closes the crossing, restoring `restore`; forces it shut through
-// Kernel::abort_persona_batch on persistent failure (never throws, never
-// leaks the Android persona). Returns true when the syscall path closed it.
-bool batched_crossing_end(std::uint64_t token, kernel::Persona restore,
-                          int replayed_calls);
-}  // namespace detail
-
 // The diplomat procedure for coalescing diplomats (kMulti pattern — the
-// aegl bridge and IOSurface paths): like diplomat_call, but the crossing is
-// token-bracketed so the kernel and the dispatch.batch.* metrics account
-// the `coalesced_calls` Android calls this one crossing amortizes. Any
-// pending recorder batch flushes first (one open crossing per thread).
+// aegl bridge and IOSurface paths): diplomat_call with a token-bracketed
+// crossing, so the kernel and the dispatch.batch.* metrics account the
+// `coalesced_calls` Android calls this one crossing amortizes. Any pending
+// recorder batch flushes first (one open crossing per thread).
 template <typename Fn>
 auto multi_diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
                          int coalesced_calls, Fn&& domestic) {
   flush_current_batch(BatchFlushReason::kNonBatchable);
-
-  DiplomatRegistry& registry = DiplomatRegistry::instance();
-  const bool profiling = registry.profiling();
-  const bool capturing = trace::capture_enabled();
-  const std::int64_t start_ns = profiling ? now_ns() : 0;
-  TRACE_SCOPE("diplomat.multi", entry.name.c_str());
-
-  if (hooks.prelude) {
-    hooks.prelude();
-    entry.contract.preludes.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  kernel::Kernel& kernel = kernel::Kernel::instance();
-  const kernel::Persona caller_persona = kernel.current_thread().persona();
-  const std::uint64_t token = detail::batched_crossing_begin();
-  if (token == 0) {
-    // Persistent open failure: force the crossing the way single-call
-    // diplomats do, so the coalesced work still runs exactly once.
-    kernel::sys_set_persona_resilient(kernel::Persona::kAndroid,
-                                      "degrade.diplomat_enter_forced");
-  }
-
-  long domestic_errno = 0;
-  const auto finish = [&] {
-    if (kernel.current_thread().persona() != kernel::Persona::kAndroid) {
-      entry.contract.unbalanced_persona.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
-    domestic_errno = kernel::libc::get_errno();
-    if (token != 0) {
-      (void)detail::batched_crossing_end(token, caller_persona,
-                                         coalesced_calls);
-    } else {
-      kernel::sys_set_persona_resilient(caller_persona,
-                                        "degrade.diplomat_restore_forced");
-    }
-    if (caller_persona == kernel::Persona::kIos) {
-      kernel::libc::set_errno(detail::errno_linux_to_darwin(domestic_errno));
-    }
-    if (hooks.postlude) {
-      hooks.postlude();
-      entry.contract.postludes.fetch_add(1, std::memory_order_relaxed);
-    }
-    entry.contract.domestic_calls.fetch_add(1, std::memory_order_relaxed);
-    entry.contract.batched_calls.fetch_add(
-        static_cast<std::uint64_t>(coalesced_calls),
-        std::memory_order_relaxed);
-    entry.calls.fetch_add(1, std::memory_order_relaxed);
-    trace::MetricsRegistry::instance()
-        .counter("dispatch.batch.calls")
-        .add(static_cast<std::uint64_t>(coalesced_calls));
-    if (profiling) entry.record_latency(now_ns() - start_ns);
-    if (capturing) {
-      trace::capture_diplomat_event(
-          trace::CytEventKind::kMulti, entry.id, entry.name,
-          static_cast<std::uint8_t>(entry.pattern), entry.batchable,
-          static_cast<std::uint8_t>(caller_persona),
-          static_cast<std::uint32_t>(coalesced_calls));
-    }
-  };
-
-  if constexpr (std::is_void_v<std::invoke_result_t<Fn>>) {
-    domestic();
-    finish();
-  } else {
-    auto result = domestic();
-    finish();
-    return result;
-  }
+  return detail::diplomat_procedure<detail::CrossingKind::kToken>(
+      entry, hooks, coalesced_calls, std::forward<Fn>(domestic));
 }
 
 }  // namespace cycada::core

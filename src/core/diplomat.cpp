@@ -3,7 +3,9 @@
 #include <cstdlib>
 
 #include "core/classification.h"
+#include "util/faultpoint.h"
 #include "util/log.h"
+#include "util/watchdog.h"
 
 namespace cycada::core {
 
@@ -96,14 +98,84 @@ std::vector<DiplomatSnapshot> DiplomatRegistry::snapshot() const {
 }
 
 namespace detail {
-long errno_linux_to_darwin(long linux_errno) {
-  switch (linux_errno) {
-    case 11: return 35;   // EAGAIN
-    case 38: return 78;   // ENOSYS
-    case 35: return 11;   // EDEADLK
-    default: return linux_errno;
-  }
+
+namespace {
+constexpr int kCrossingRetries = 3;
+
+// Absolute deadline of one token open or close: the watchdog's current
+// crossing budget from now.
+std::int64_t crossing_deadline_ns() {
+  return now_ns() + util::Watchdog::instance().effective_budget_ms(
+                        util::kWatchdogCrossingBudgetMs) *
+                        1000000;
 }
+}  // namespace
+
+std::uint64_t batched_crossing_begin() {
+  static trace::Counter& crossings =
+      trace::MetricsRegistry::instance().counter("dispatch.batch.crossings");
+  WATCHDOG_SCOPE(util::WatchdogDomain::kCrossing,
+                 util::kWatchdogCrossingBudgetMs);
+  const std::int64_t deadline = crossing_deadline_ns();
+  for (int attempt = 0; attempt < kCrossingRetries; ++attempt) {
+    const long token =
+        kernel::sys_persona_batch_begin(kernel::Persona::kAndroid);
+    if (token > 0) {
+      crossings.add();
+      return static_cast<std::uint64_t>(token);
+    }
+    // A stall-injected syscall can burn the whole budget in one attempt;
+    // retrying past the deadline would multiply the hang. Give up and let
+    // the caller fall back.
+    if (now_ns() >= deadline) break;
+    kernel::Kernel::instance().syscall(kernel::Sys::kYield);
+  }
+  return 0;
+}
+
+bool batched_crossing_end(std::uint64_t token, kernel::Persona restore,
+                          int replayed_calls) {
+  static trace::Counter& close_bounded =
+      trace::MetricsRegistry::instance().counter("watchdog.close.bounded");
+  static trace::Counter& close_forced =
+      trace::MetricsRegistry::instance().counter(
+          "dispatch.batch.close_forced");
+  WATCHDOG_SCOPE(util::WatchdogDomain::kCrossing,
+                 util::kWatchdogCrossingBudgetMs);
+  const std::int64_t deadline = crossing_deadline_ns();
+  for (int attempt = 0; attempt < kCrossingRetries; ++attempt) {
+    if (kernel::sys_persona_batch_end(token, restore, replayed_calls) == 0) {
+      return true;
+    }
+    if (now_ns() >= deadline) {
+      // Watchdog-backed bound on the forced-shut path: a close that both
+      // fails and stalls must not serialize three full stalls before the
+      // persona is repaired.
+      close_bounded.add();
+      break;
+    }
+    kernel::Kernel::instance().syscall(kernel::Sys::kYield);
+  }
+  // The crossing must close no matter what — a leaked Android persona (and
+  // a stuck token) would corrupt every later syscall on this thread. The
+  // forced close is the ladder's last rung: suppressed, so it can be
+  // neither failed nor delayed by injection.
+  util::FaultSuppressionScope suppress;
+  kernel::Kernel::instance().abort_persona_batch(restore);
+  close_forced.add();
+  return false;
+}
+
+void capture_event(const DiplomatEntry& entry, trace::CytEventKind kind,
+                   kernel::Persona persona, std::uint32_t aux,
+                   std::uint8_t reason, const trace::CytStagedArgs* args) {
+  trace::capture_diplomat_event(kind, entry.id, entry.name,
+                                static_cast<std::uint8_t>(entry.pattern),
+                                entry.batchable,
+                                static_cast<std::uint8_t>(persona), aux,
+                                reason, args);
+}
+
 }  // namespace detail
 
 }  // namespace cycada::core

@@ -10,6 +10,12 @@
 //   the foreign TLS area; (10) run a postlude in the foreign persona;
 //   (11) return to the foreign caller.
 //
+// Every form runs that one procedure (detail::diplomat_procedure and
+// detail::Crossing below); only the crossing of steps 3-5 and 7-8 differs:
+// a plain set_persona pair for one call, or one token-bracketed crossing
+// for a declared number of calls — the multi pattern (multi_diplomat_call)
+// and the command-buffer replay (src/core/batch.h).
+//
 // The four usage patterns of §4.1 — direct, indirect, data-dependent and
 // multi — classify how much wrapper logic surrounds that core procedure,
 // and the registry records the classification plus per-function call
@@ -23,6 +29,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "kernel/kernel.h"
@@ -119,7 +127,6 @@ struct DiplomatEntry {
   trace::Histogram latency;
   DiplomatContract contract;
 
-  void record_latency(std::int64_t ns) { latency.record(ns); }
   std::int64_t total_ns() const { return latency.sum(); }
 };
 
@@ -206,84 +213,183 @@ struct DiplomatHooks {
 };
 
 namespace detail {
-// Darwin errno for a Linux errno (diplomat step 9).
-long errno_linux_to_darwin(long linux_errno);
-}  // namespace detail
+// How a crossing switches persona (steps 3-5 and 7-8).
+enum class CrossingKind : std::uint8_t {
+  // One domestic call under a set_persona pair.
+  kPlain,
+  // A declared number of Android calls under one token-bracketed crossing
+  // (sys_persona_batch_begin/end): the multi pattern and the command-buffer
+  // replay (src/core/batch.h). The kernel and dispatch.batch.calls count
+  // the calls it amortizes.
+  kToken,
+};
 
-// Executes `domestic` under the full diplomat procedure and returns its
-// result. The calling thread's persona is restored afterwards (normally it
-// is the iOS persona; nesting is supported).
-template <typename Fn>
-auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
-                   Fn&& domestic) {
-  DiplomatRegistry& registry = DiplomatRegistry::instance();
-  const bool profiling = registry.profiling();
-  const bool capturing = trace::capture_enabled();
-  const std::int64_t start_ns = profiling ? now_ns() : 0;
-  TRACE_SCOPE("diplomat", entry.name.c_str());
+// Opens one token-bracketed crossing to the Android persona with bounded
+// retries; 0 on persistent failure (the caller picks its fallback).
+std::uint64_t batched_crossing_begin();
+// Closes the crossing, restoring `restore`; forces it shut through
+// Kernel::abort_persona_batch on persistent failure (never throws, never
+// leaks the Android persona). Returns true when the syscall path closed it.
+bool batched_crossing_end(std::uint64_t token, kernel::Persona restore,
+                          int replayed_calls);
 
-  // Step 2: prelude in the foreign persona.
-  if (hooks.prelude) {
-    hooks.prelude();
-    entry.contract.preludes.fetch_add(1, std::memory_order_relaxed);
+// Records one diplomat event in the .cyt capture, stamped with `persona`.
+// `args` overrides the thread's staged args; nullptr consumes the staging.
+void capture_event(const DiplomatEntry& entry, trace::CytEventKind kind,
+                   kernel::Persona persona, std::uint32_t aux,
+                   std::uint8_t reason = 0,
+                   const trace::CytStagedArgs* args = nullptr);
+
+// One crossing: steps 2-5 and 7-10 of the procedure, written once for every
+// form — diplomat_call (kPlain), multi_diplomat_call (kToken, one
+// coalescing call) and the command-buffer replay (kToken, one domestic call
+// per queued item). The hooks run in `caller`'s persona and are charged to
+// `opener`.
+template <CrossingKind Kind>
+class Crossing {
+ public:
+  // Step 2: the prelude in the foreign persona.
+  Crossing(kernel::Kernel& kernel, DiplomatEntry& opener,
+           const DiplomatHooks& hooks, kernel::Persona caller)
+      : kernel_(kernel),
+        opener_(opener),
+        hooks_(hooks),
+        caller_(caller),
+        capturing_(trace::capture_enabled()) {
+    if (hooks_.prelude) {
+      hooks_.prelude();
+      opener_.contract.preludes.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
-  // Steps 3-5: arguments live in `domestic`'s closure (the stack); switch
-  // the kernel ABI personality and TLS pointer to the domestic persona.
-  // Resilient variant: a transiently failing set_persona (the
-  // kernel.set_persona fault point) is retried and finally forced, so the
-  // domestic function always runs under the Android ABI and the contract
-  // counters below stay balanced even under injection.
-  kernel::Kernel& kernel = kernel::Kernel::instance();
-  const kernel::Persona caller_persona = kernel.current_thread().persona();
-  kernel::sys_set_persona_resilient(kernel::Persona::kAndroid,
-                                    "degrade.diplomat_enter_forced");
+  // Steps 3-5: arguments live in the domestic closures (the stack); switch
+  // the kernel ABI personality and TLS pointer to the Android persona. The
+  // plain set_persona is retried when it fails transiently (the
+  // kernel.set_persona fault point) and finally forced, so the domestic
+  // code always runs under the Android ABI and the contract counters stay
+  // balanced under injection. A token crossing that cannot open falls back
+  // to that forced plain switch, or with `force` false returns false: the
+  // caller then balances the prelude with postlude() and runs plain calls.
+  bool open(bool force = true) {
+    if constexpr (Kind == CrossingKind::kToken) {
+      token_ = batched_crossing_begin();
+      if (token_ != 0 || !force) return token_ != 0;
+    }
+    kernel::sys_set_persona_resilient(kernel::Persona::kAndroid,
+                                      "degrade.diplomat_enter_forced");
+    return true;
+  }
 
-  long domestic_errno = 0;
-  const auto finish = [&] {
-    // Contract: the domestic function must return in the persona the
-    // diplomat put it in; anything else is an unbalanced set_persona.
-    if (kernel.current_thread().persona() != kernel::Persona::kAndroid) {
+  // After each domestic call: it must return in the persona the crossing
+  // set; anything else is an unbalanced set_persona in domestic code. The
+  // persona is repaired directly (a token may still be open, so the trap
+  // path is off the table), so the next call sharing the crossing runs
+  // under the Android ABI.
+  void check_balance(DiplomatEntry& entry) {
+    if (kernel_.current_thread().persona() != kernel::Persona::kAndroid) {
       entry.contract.unbalanced_persona.fetch_add(1,
                                                   std::memory_order_relaxed);
+      kernel_.set_persona_direct(kernel::Persona::kAndroid);
     }
-    // Capture domestic TLS state, then switch back (steps 7-9). The
-    // restore must never fail outright — a leaked Android persona on an
-    // iOS thread corrupts every later syscall — so it, too, is resilient.
-    domestic_errno = kernel::libc::get_errno();
-    kernel::sys_set_persona_resilient(caller_persona,
-                                      "degrade.diplomat_restore_forced");
-    if (caller_persona == kernel::Persona::kIos) {
-      kernel::libc::set_errno(detail::errno_linux_to_darwin(domestic_errno));
+  }
+
+  // Steps 7-10 after the crossing's `calls` Android calls: save the domestic
+  // errno, switch back to the caller's persona, convert the errno into the
+  // foreign TLS area (the last call's errno when calls share a crossing),
+  // run the postlude. The switch back must never fail outright — a leaked
+  // Android persona on an iOS thread corrupts every later syscall — so a
+  // failing restore is forced and a failing token close is forced shut.
+  void close(int calls) {
+    const long domestic_errno = kernel::libc::get_errno();
+    if (Kind == CrossingKind::kToken && token_ != 0) {
+      (void)batched_crossing_end(token_, caller_, calls);
+    } else {
+      kernel::sys_set_persona_resilient(caller_,
+                                        "degrade.diplomat_restore_forced");
     }
-    // Step 10: postlude in the foreign persona.
-    if (hooks.postlude) {
-      hooks.postlude();
-      entry.contract.postludes.fetch_add(1, std::memory_order_relaxed);
+    if (caller_ == kernel::Persona::kIos) {
+      kernel::libc::set_errno(kernel::linux_errno_to_darwin(domestic_errno));
     }
+    postlude();
+    if constexpr (Kind == CrossingKind::kToken) {
+      static trace::Counter& batch_calls =
+          trace::MetricsRegistry::instance().counter("dispatch.batch.calls");
+      batch_calls.add(static_cast<std::uint64_t>(calls));
+    }
+  }
+
+  // Step 10: the postlude in the foreign persona.
+  void postlude() {
+    if (hooks_.postlude) {
+      hooks_.postlude();
+      opener_.contract.postludes.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  // Counts one domestic call of `entry` — amortizing `batched` Android
+  // calls on a token crossing — and captures its event.
+  void count(DiplomatEntry& entry, trace::CytEventKind kind, std::uint32_t aux,
+             std::uint64_t batched,
+             const trace::CytStagedArgs* args = nullptr) {
     entry.contract.domestic_calls.fetch_add(1, std::memory_order_relaxed);
-    entry.calls.fetch_add(1, std::memory_order_relaxed);
-    if (profiling) {
-      // Profiling already reads the clock; that read doubles as the
-      // captured event's timestamp and its aux duration.
-      const std::int64_t end_ns = now_ns();
-      const std::int64_t elapsed_ns = end_ns - start_ns;
-      entry.record_latency(elapsed_ns);
-      if (capturing) {
-        trace::capture_diplomat_event(
-            trace::CytEventKind::kCall, entry.id, entry.name,
-            static_cast<std::uint8_t>(entry.pattern), entry.batchable,
-            static_cast<std::uint8_t>(caller_persona),
-            static_cast<std::uint32_t>(elapsed_ns < 0 ? 0 : elapsed_ns));
-      }
-    } else if (capturing) {
-      // Capture alone stays clock-free on the hot path: the recorder
-      // stamps the event from its per-thread cached clock.
-      trace::capture_diplomat_event(
-          trace::CytEventKind::kCall, entry.id, entry.name,
-          static_cast<std::uint8_t>(entry.pattern), entry.batchable,
-          static_cast<std::uint8_t>(caller_persona), /*aux=*/0);
+    if (batched != 0) {
+      entry.contract.batched_calls.fetch_add(batched,
+                                             std::memory_order_relaxed);
     }
+    entry.calls.fetch_add(1, std::memory_order_relaxed);
+    capture(entry, kind, aux, /*reason=*/0, args);
+  }
+
+  void capture(const DiplomatEntry& entry, trace::CytEventKind kind,
+               std::uint32_t aux, std::uint8_t reason,
+               const trace::CytStagedArgs* args) const {
+    if (capturing_) capture_event(entry, kind, caller_, aux, reason, args);
+  }
+
+ private:
+  kernel::Kernel& kernel_;
+  DiplomatEntry& opener_;
+  const DiplomatHooks& hooks_;
+  const kernel::Persona caller_;
+  const bool capturing_;
+  std::uint64_t token_ = 0;
+};
+
+// The whole procedure around one domestic call; step 1 is the caller's
+// cached `entry`. `coalesced_calls` is what a token crossing declares: the
+// Android calls `domestic` makes under it.
+template <CrossingKind Kind, typename Fn>
+auto diplomat_procedure(DiplomatEntry& entry, const DiplomatHooks& hooks,
+                        int coalesced_calls, Fn&& domestic) {
+  const bool profiling = DiplomatRegistry::instance().profiling();
+  const std::int64_t start_ns = profiling ? now_ns() : 0;
+  TRACE_SCOPE(Kind == CrossingKind::kPlain ? "diplomat" : "diplomat.multi",
+              entry.name.c_str());
+  kernel::Kernel& kernel = kernel::Kernel::instance();
+  Crossing<Kind> crossing(kernel, entry, hooks,
+                          kernel.current_thread().persona());
+  // A token crossing that cannot open is forced the way a plain one is, so
+  // the coalesced work still runs exactly once.
+  crossing.open();
+
+  const auto finish = [&] {
+    crossing.check_balance(entry);
+    crossing.close(coalesced_calls);
+    // A multi call's event carries its declared count, a plain call's its
+    // latency when profiling. Capture alone stays clock-free on the hot
+    // path: the recorder stamps the event from its per-thread cached clock.
+    auto aux = static_cast<std::uint32_t>(coalesced_calls);
+    if (profiling) {
+      const std::int64_t elapsed_ns = now_ns() - start_ns;
+      entry.latency.record(elapsed_ns);
+      if constexpr (Kind == CrossingKind::kPlain) {
+        aux = static_cast<std::uint32_t>(elapsed_ns < 0 ? 0 : elapsed_ns);
+      }
+    }
+    crossing.count(entry,
+                   Kind == CrossingKind::kPlain ? trace::CytEventKind::kCall
+                                                : trace::CytEventKind::kMulti,
+                   aux, static_cast<std::uint64_t>(coalesced_calls));
   };
 
   if constexpr (std::is_void_v<std::invoke_result_t<Fn>>) {
@@ -295,6 +401,17 @@ auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
     return result;  // step 11
   }
 }
+}  // namespace detail
+
+// Executes `domestic` under the full diplomat procedure and returns its
+// result. The calling thread's persona is restored afterwards (normally it
+// is the iOS persona; nesting is supported).
+template <typename Fn>
+auto diplomat_call(DiplomatEntry& entry, const DiplomatHooks& hooks,
+                   Fn&& domestic) {
+  return detail::diplomat_procedure<detail::CrossingKind::kPlain>(
+      entry, hooks, /*coalesced_calls=*/0, std::forward<Fn>(domestic));
+}
 
 // Records a call that a data-dependent diplomat answered entirely on the
 // foreign side (paper §4.1: e.g. glGetString's Apple-proprietary query, the
@@ -305,12 +422,9 @@ inline void diplomat_skip(DiplomatEntry& entry) {
   entry.calls.fetch_add(1, std::memory_order_relaxed);
   entry.contract.skipped_calls.fetch_add(1, std::memory_order_relaxed);
   if (trace::capture_enabled()) {
-    trace::capture_diplomat_event(
-        trace::CytEventKind::kSkip, entry.id, entry.name,
-        static_cast<std::uint8_t>(entry.pattern), entry.batchable,
-        static_cast<std::uint8_t>(
-            kernel::Kernel::instance().current_thread().persona()),
-        /*aux=*/0);
+    detail::capture_event(
+        entry, trace::CytEventKind::kSkip,
+        kernel::Kernel::instance().current_thread().persona(), /*aux=*/0);
   }
 }
 

@@ -200,6 +200,9 @@ StatusOr<ReplayStats> replay_trace(const trace::ParsedTrace& trace,
           replay_lane(lane, entries, options, totals[t]);
         }
       }
+      // Every replay_trace call starts new threads; without this each
+      // would leave its kernel thread state behind for good.
+      kernel::Kernel::instance().unregister_current_thread();
     });
   }
   for (std::thread& worker : workers) worker.join();

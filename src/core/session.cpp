@@ -160,20 +160,6 @@ void Session::clear_cross_leak_evidence() {
   for (auto& counter : cross_leaks_) counter.store(0);
 }
 
-trace::Counter& Session::scoped_counter(std::string_view name) const {
-  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
-  if (is_default()) return metrics.counter(name);
-  return metrics.counter("session.s" + std::to_string(id_) + "." +
-                         std::string(name));
-}
-
-trace::Histogram& Session::scoped_histogram(std::string_view name) const {
-  trace::MetricsRegistry& metrics = trace::MetricsRegistry::instance();
-  if (is_default()) return metrics.histogram(name);
-  return metrics.histogram("session.s" + std::to_string(id_) + "." +
-                           std::string(name));
-}
-
 SessionRegistry& SessionRegistry::instance() {
   static SessionRegistry* registry = new SessionRegistry();
   return *registry;
@@ -204,10 +190,6 @@ StatusOr<Session*> SessionRegistry::create(std::string name) {
           "session cap reached (CYCADA_SESSIONS=" + std::to_string(cap) + ")");
     }
     session = new Session(next_id_++, std::move(name));
-    session->config_.max_warm_replicas =
-        env_int("CYCADA_SESSION_WARM_REPLICAS", -1);
-    session->config_.max_live_replicas =
-        env_int("CYCADA_SESSION_LIVE_REPLICAS", -1);
     sessions_.push_back(session);
   }
   created_.fetch_add(1, std::memory_order_relaxed);

@@ -34,16 +34,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/lock_order.h"
 #include "util/status.h"
-
-namespace cycada::trace {
-class Counter;
-class Histogram;
-}  // namespace cycada::trace
 
 namespace cycada::core {
 
@@ -93,15 +87,6 @@ struct WatchdogLadder {
   }
 };
 
-// Knobs fixed at (or shortly after) session creation, read by per-session
-// facets when they construct. -1 = keep the subsystem's own default.
-// CYCADA_SESSION_WARM_REPLICAS / CYCADA_SESSION_LIVE_REPLICAS seed the
-// defaults for every created session (the default session keeps -1/-1).
-struct SessionConfig {
-  int max_warm_replicas = -1;  // AndroidEgl warm replica pool cap
-  int max_live_replicas = -1;  // AndroidEgl live replica cap (0 = unlimited)
-};
-
 namespace session_detail {
 // Dense per-type facet slot allocation. One index per distinct T across the
 // process; handed out on first use.
@@ -135,9 +120,6 @@ class Session {
   std::uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
   bool is_default() const { return id_ == 0; }
-
-  SessionConfig& config() { return config_; }
-  const SessionConfig& config() const { return config_; }
 
   WatchdogLadder* watchdog_ladder() const { return ladder_; }
 
@@ -185,11 +167,6 @@ class Session {
   std::uint64_t cross_leak_total() const;
   void clear_cross_leak_evidence();
 
-  // A metrics counter carrying this session's label dimension:
-  // "<name>" for the default session, "session.s<id>.<name>" otherwise.
-  trace::Counter& scoped_counter(std::string_view name) const;
-  trace::Histogram& scoped_histogram(std::string_view name) const;
-
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -212,7 +189,6 @@ class Session {
 
   const std::uint32_t id_;
   const std::string name_;
-  SessionConfig config_{};
   WatchdogLadder* ladder_ = nullptr;
   std::array<std::atomic<void*>, kMaxFacets> facets_{};
   // Recursive: a facet's constructor may itself resolve another facet of

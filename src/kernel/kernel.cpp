@@ -33,9 +33,8 @@ std::atomic<std::uint64_t> g_generation_source{1};
 // delete it.
 std::atomic<std::uint64_t> g_guard_sink{0};
 
-// Linux -> Darwin errno translation for the values our syscalls produce.
-// Many low errno values coincide; the ones that differ illustrate why the
-// conversion step exists (diplomat step 9, paper §3).
+}  // namespace
+
 long linux_errno_to_darwin(long linux_errno) {
   switch (linux_errno) {
     case 11: return 35;   // EAGAIN
@@ -44,7 +43,6 @@ long linux_errno_to_darwin(long linux_errno) {
     default: return linux_errno;
   }
 }
-}  // namespace
 
 Kernel& Kernel::instance() {
   // The current session's kernel facet. Default-session facets are never
@@ -120,6 +118,25 @@ ThreadState& Kernel::register_current_thread(Persona initial) {
   t_cached_generation = generation;
   t_cached_kernel = this;
   return *raw;
+}
+
+void Kernel::unregister_current_thread() {
+  if (t_cached_state == nullptr || t_cached_kernel != this) return;
+  std::lock_guard lock(registry_mutex_);
+  // reset() frees every state and bumps the generation under this mutex,
+  // so a stale cache (and a tid reset() may have handed out again) is
+  // never touched.
+  if (t_cached_generation != generation_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  const ThreadState& thread = *t_cached_state;
+  if (thread.persona_ != thread.initial_persona_ ||
+      thread.batch_token_ != 0) {
+    return;
+  }
+  threads_.erase(thread.tid_);
+  t_cached_state = nullptr;
+  t_cached_kernel = nullptr;
 }
 
 ThreadState* Kernel::find_thread(Tid tid) {

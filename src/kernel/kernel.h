@@ -123,6 +123,12 @@ class Kernel {
   // Lazily registers the calling OS thread (Android persona by default).
   ThreadState& current_thread();
   ThreadState& register_current_thread(Persona initial);
+  // Forgets the calling thread at the end of its life, so short-lived
+  // threads do not leave their state behind for the kernel's lifetime. A
+  // thread that is not back in the persona it registered with, or still
+  // holds a crossing token, stays registered as evidence for the
+  // fault-safety audit.
+  void unregister_current_thread();
   // Looks up a thread by kernel tid; nullptr when unknown.
   ThreadState* find_thread(Tid tid);
   // Tids of every registered thread (for quiescent-point audits).
@@ -214,6 +220,11 @@ class Kernel {
   std::vector<std::pair<int, TlsKeyHook>> key_delete_hooks_;
   int next_hook_id_ = 1;
 };
+
+// Linux -> Darwin errno translation for the values our syscalls produce,
+// shared by the foreign trap path and diplomat step 9 (paper §3). Many low
+// errno values coincide; the ones that differ show why the step exists.
+long linux_errno_to_darwin(long linux_errno);
 
 // Syscall wrappers used throughout user-level code. All go through
 // Kernel::trap() on the current persona's numbering.

@@ -5,9 +5,13 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "core/batch.h"
 #include "core/classification.h"
 #include "core/impersonation.h"
+#include "trace/metrics.h"
+#include "util/faultpoint.h"
 
 namespace cycada::core {
 namespace {
@@ -140,6 +144,121 @@ TEST_F(DiplomatTest, RegistryDeduplicatesEntries) {
   DiplomatEntry& b =
       DiplomatRegistry::instance().entry("glClear", DiplomatPattern::kDirect);
   EXPECT_EQ(&a, &b);
+}
+
+// A call crosses into Android in one of four forms: a single diplomat, a
+// multi diplomat, a recorded batch replayed under one crossing, and a batch
+// whose crossing cannot open (every set_persona fails) and so falls back to
+// plain calls. From either caller persona, each form runs its hooks in the
+// caller's persona and its domestic code in Android, restores the caller's
+// persona, hands step 9's errno back, and keeps the contract counters below.
+TEST_F(DiplomatTest, EveryCrossingFormKeepsTheProcedureContract) {
+  enum class Form { kSingle, kMulti, kBatch, kAbortedBatch };
+  struct Expected {
+    Form form;
+    const char* name;
+    DiplomatPattern pattern;
+    std::uint64_t calls, domestic_calls, batched_calls, preludes, postludes,
+        switches;
+  };
+  const Expected forms[] = {
+      {Form::kSingle, "contract.single", DiplomatPattern::kDirect, 1, 1, 0, 1,
+       1, 2},
+      // One call coalescing three Android calls under one token crossing.
+      {Form::kMulti, "contract.multi", DiplomatPattern::kMulti, 1, 1, 3, 1, 1,
+       2},
+      // Three recorded calls share one crossing and one prelude/postlude.
+      {Form::kBatch, "glEnable", DiplomatPattern::kDirect, 3, 3, 3, 1, 1, 2},
+      // The batch's own prelude is balanced by its postlude, then each call
+      // runs the plain procedure: three failed set_persona attempts each
+      // way before the forced switch, so 3 x 6 counted switches.
+      {Form::kAbortedBatch, "glEnable", DiplomatPattern::kDirect, 3, 3, 0, 4,
+       4, 18},
+  };
+  kernel::Kernel& kernel = kernel::Kernel::instance();
+  util::FaultPoint& fault =
+      util::FaultRegistry::instance().point("kernel.set_persona");
+  trace::Counter& switches =
+      trace::MetricsRegistry::instance().counter("persona.switches");
+  trace::Counter& aborted =
+      trace::MetricsRegistry::instance().counter("dispatch.batch.aborted");
+
+  for (const kernel::Persona caller :
+       {kernel::Persona::kIos, kernel::Persona::kAndroid}) {
+    for (const Expected& want : forms) {
+      SCOPED_TRACE(std::string(want.name) + " form " +
+                   std::to_string(static_cast<int>(want.form)) +
+                   (caller == kernel::Persona::kIos ? " from iOS"
+                                                    : " from Android"));
+      DiplomatEntry& entry =
+          DiplomatRegistry::instance().entry(want.name, want.pattern);
+      std::vector<kernel::Persona> hook_personas;
+      std::vector<kernel::Persona> domestic_personas;
+      DiplomatHooks hooks;
+      hooks.prelude = [&] {
+        hook_personas.push_back(kernel.current_thread().persona());
+      };
+      hooks.postlude = hooks.prelude;
+      const auto domestic = [&] {
+        domestic_personas.push_back(kernel.current_thread().persona());
+        kernel::libc::set_errno(11);  // Linux EAGAIN
+      };
+
+      kernel::ScopedPersona as_caller(caller);
+      kernel::libc::set_errno(0);
+      const DiplomatContract& contract = entry.contract;
+      const std::uint64_t calls = entry.calls.load();
+      const std::uint64_t domestic_calls = contract.domestic_calls.load();
+      const std::uint64_t batched_calls = contract.batched_calls.load();
+      const std::uint64_t preludes = contract.preludes.load();
+      const std::uint64_t postludes = contract.postludes.load();
+      const std::uint64_t switches_before = switches.value();
+      const std::uint64_t aborted_before = aborted.value();
+
+      switch (want.form) {
+        case Form::kSingle:
+          diplomat_call(entry, hooks, domestic);
+          break;
+        case Form::kMulti:
+          multi_diplomat_call(entry, hooks, /*coalesced_calls=*/3, domestic);
+          break;
+        case Form::kBatch:
+        case Form::kAbortedBatch: {
+          BatchScope scope;
+          for (int i = 0; i < 3; ++i) {
+            ASSERT_TRUE(batch_record(entry, hooks, domestic));
+          }
+          if (want.form == Form::kAbortedBatch) fault.arm_every(1);
+          flush_current_batch(BatchFlushReason::kExplicit);
+          fault.disarm();
+          break;
+        }
+      }
+
+      const std::size_t domestic_runs = want.form == Form::kMulti ||
+                                                want.form == Form::kSingle
+                                            ? 1
+                                            : 3;
+      EXPECT_EQ(domestic_personas, std::vector<kernel::Persona>(
+                                       domestic_runs, kernel::Persona::kAndroid));
+      EXPECT_EQ(hook_personas,
+                std::vector<kernel::Persona>(want.preludes + want.postludes,
+                                             caller));
+      EXPECT_EQ(kernel.current_thread().persona(), caller);
+      EXPECT_EQ(kernel::libc::get_errno(),
+                caller == kernel::Persona::kIos ? 35 : 11);
+      EXPECT_EQ(entry.calls.load() - calls, want.calls);
+      EXPECT_EQ(contract.domestic_calls.load() - domestic_calls,
+                want.domestic_calls);
+      EXPECT_EQ(contract.batched_calls.load() - batched_calls,
+                want.batched_calls);
+      EXPECT_EQ(contract.preludes.load() - preludes, want.preludes);
+      EXPECT_EQ(contract.postludes.load() - postludes, want.postludes);
+      EXPECT_EQ(switches.value() - switches_before, want.switches);
+      EXPECT_EQ(aborted.value() - aborted_before,
+                want.form == Form::kAbortedBatch ? 1u : 0u);
+    }
+  }
 }
 
 TEST(DiplomatDeathTest, IdSpaceExhaustionAbortsInEveryBuild) {

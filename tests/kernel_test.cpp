@@ -35,6 +35,24 @@ TEST_F(KernelTest, ThreadsGetUniqueTids) {
   EXPECT_EQ(worker_tgid, main_tid);
 }
 
+TEST_F(KernelTest, OnlyThreadsThatEndCleanUnregister) {
+  Kernel& kernel = Kernel::instance();
+  const auto exits = [&](bool leak_crossing) {
+    Tid tid = kInvalidTid;
+    std::thread worker([&] {
+      tid = kernel.register_current_thread(Persona::kIos).tid();
+      if (leak_crossing) sys_set_persona(Persona::kAndroid);
+      kernel.unregister_current_thread();
+    });
+    worker.join();
+    return tid;
+  };
+  // A thread back in its registered persona is forgotten.
+  EXPECT_EQ(kernel.find_thread(exits(false)), nullptr);
+  // One that leaked a crossing stays for the fault-safety audit.
+  EXPECT_NE(kernel.find_thread(exits(true)), nullptr);
+}
+
 TEST_F(KernelTest, NullSyscallReturnsZero) {
   EXPECT_EQ(sys_null(), 0);
 }

@@ -251,10 +251,15 @@ TEST_F(TraceReplayTest, ReplayReproducesCapturedCallCountsExactly) {
   options.threads = 2;
   options.iterations = 3;
   const std::map<std::string, std::uint64_t> before = registry_call_counts();
+  const std::size_t threads_before =
+      kernel::Kernel::instance().registered_tids().size();
   auto stats = replay_trace(*parsed, options);
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
   const std::map<std::string, std::uint64_t> replayed =
       delta(before, registry_call_counts());
+  // The replay threads ended clean, so none left its kernel state behind.
+  EXPECT_EQ(kernel::Kernel::instance().registered_tids().size(),
+            threads_before);
 
   for (const auto& [name, count] : per_pass) {
     EXPECT_EQ(replayed.at(name), count * 6) << name;
