@@ -9,7 +9,8 @@
 //                            and diffs the output byte-for-byte: the tiled
 //                            rasterizer must be deterministic.
 //   CYCADA_PASSMARK_SWEEP=1  run the workload at 1/2/4/8 tile workers on a
-//                            512x512 surface (an 8x8 tile grid) and emit
+//                            512x512 surface (an 8x8 tile grid), one warm
+//                            cycle then a timed leg of >= 1 s each, and emit
 //                            the per-stage pipeline metrics as bench JSON
 //                            (BENCH_pr9.json via scripts/bench_baseline.sh).
 //   CYCADA_PASSMARK_SOAK_MS=N  chaos soak (docs/ROBUSTNESS.md): arm a
@@ -20,6 +21,7 @@
 //                            ladder to climb back to full-parallel with
 //                            zero persona/lock leaks. CYCADA_CHAOS_SEED
 //                            (default 42) reseeds the fault mix.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -111,13 +113,35 @@ int run_hash_mode() {
   return 0;
 }
 
+// One pass of the seven-test cycle on a 512x512 Cycada iOS surface: a fresh
+// port per test, one setup frame, then frames_for(test) frames. Returns the
+// primitives drawn, or -1 on an error.
+std::int64_t run_sweep_cycle() {
+  std::int64_t primitives = 0;
+  for (const auto& spec : cycada::passmark::test_specs()) {
+    auto port = cycada::glport::make_gl_port(SystemConfig::kCycadaIos);
+    if (!port->init(512, 512, 1).is_ok()) return -1;
+    cycada::passmark::PassMark passmark(*port);
+    if (!passmark.run(spec.name, 1).is_ok()) return -1;  // setup frame
+    const auto prims = passmark.run(spec.name, frames_for(spec.name));
+    if (!prims.is_ok()) return -1;
+    primitives += static_cast<std::int64_t>(*prims);
+  }
+  return primitives;
+}
+
 // CYCADA_PASSMARK_SWEEP: the tile-parallel pipeline scaling run. A 512x512
 // surface is an 8x8 grid of 64x64 tiles, enough work per raster phase for
-// eight workers to claim and steal. apply_system_config() resets the
-// metrics registry, so the config is applied once per worker count, the
-// whole seven-test workload runs under it, and the pipeline.* metrics are
+// eight workers to claim and steal. Each worker count first runs one
+// untimed cycle, which starts the pool's threads and ramps their cores, and
+// then a timed leg that repeats the cycle until kSweepLegNs of wall clock
+// have passed, so a leg never ends inside the ramp however fast frames get.
+// apply_system_config() resets the metrics registry, so it is applied again
+// after the warm cycle, and the timed leg's pipeline.* metrics are
 // snapshotted into a merged document under fig6.workersN.* names before the
 // next worker count wipes them.
+constexpr std::int64_t kSweepLegNs = 1'000'000'000;
+
 int run_sweep_mode() {
   auto& metrics = cycada::trace::MetricsRegistry::instance();
   auto& pool = cycada::gpu::TileWorkerPool::instance();
@@ -130,19 +154,17 @@ int run_sweep_mode() {
   for (const int workers : {1, 2, 4, 8}) {
     cycada::glport::apply_system_config(SystemConfig::kCycadaIos);
     pool.set_worker_count(workers);
-    std::uint64_t primitives = 0;
+    if (run_sweep_cycle() < 0) return 1;  // warm, untimed
+    cycada::glport::apply_system_config(SystemConfig::kCycadaIos);
+    std::int64_t primitives = 0;
     const auto start = cycada::now_ns();
-    for (const auto& spec : cycada::passmark::test_specs()) {
-      auto port = cycada::glport::make_gl_port(SystemConfig::kCycadaIos);
-      if (!port->init(512, 512, 1).is_ok()) return 1;
-      cycada::passmark::PassMark passmark(*port);
-      if (!passmark.run(spec.name, 1).is_ok()) return 1;  // warm-up
-      const auto prims = passmark.run(spec.name, frames_for(spec.name));
-      if (!prims.is_ok()) return 1;
-      primitives += *prims;
-    }
-    const auto elapsed = cycada::now_ns() - start;
-    if (elapsed <= 0) return 1;
+    std::int64_t elapsed = 0;
+    do {
+      const std::int64_t cycle = run_sweep_cycle();
+      if (cycle < 0) return 1;
+      primitives += cycle;
+      elapsed = cycada::now_ns() - start;
+    } while (elapsed < kSweepLegNs);
     rates.emplace_back(workers, static_cast<double>(primitives) * 1e9 /
                                     static_cast<double>(elapsed));
 

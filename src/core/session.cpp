@@ -57,7 +57,6 @@ const char* session_layer_name(SessionLayer layer) {
     case SessionLayer::kSurface: return "surface";
     case SessionLayer::kGralloc: return "gralloc";
     case SessionLayer::kIoSurface: return "iosurface";
-    case SessionLayer::kDispatch: return "dispatch";
     case SessionLayer::kCount: break;
   }
   return "?";

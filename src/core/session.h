@@ -54,7 +54,6 @@ enum class SessionLayer : int {
   kSurface,
   kGralloc,
   kIoSurface,
-  kDispatch,
   kCount,
 };
 

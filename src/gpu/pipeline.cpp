@@ -344,6 +344,7 @@ void execute_frame(FrameBatch& batch) {
       metrics().counter("pipeline.frames.serial_degraded");
   static trace::Counter& feedback =
       metrics().counter("pipeline.feedback_serialized");
+  static trace::Counter& copied = metrics().counter("pipeline.prims.copied");
   static trace::Histogram& bin_ns =
       metrics().histogram("pipeline.stage.bin_ns");
   static trace::Histogram& raster_ns =
@@ -435,6 +436,10 @@ void execute_frame(FrameBatch& batch) {
            p < current->prims.size(); ++p) {
         const PixelRect& box = current->prims[p].bbox;
         if (box.empty()) continue;
+        if (mark_copy_span(step.target, step.state, step.texture,
+                           current->prims[p])) {
+          copied.add();
+        }
         const int tx0 = box.x0 / kTileSize, ty0 = box.y0 / kTileSize;
         const int tx1 = (box.x1 - 1) / kTileSize;
         const int ty1 = (box.y1 - 1) / kTileSize;

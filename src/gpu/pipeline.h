@@ -4,9 +4,10 @@
 // batch in two stages modeled on glSoftPipe's DrawEngine, whose stage
 // objects are "triggered in any thread without lock protection":
 //
-//   bin    — single-threaded: vertex post-processing (build_screen_prims)
-//            and binning of every primitive/clear into the 64x64 screen
-//            tiles its bounding box intersects, in command order.
+//   bin    — single-threaded: vertex post-processing (build_screen_prims),
+//            copy-span marking (mark_copy_span) and binning of every
+//            primitive/clear into the 64x64 screen tiles its bounding box
+//            intersects, in command order.
 //   raster — tile-parallel: a fixed worker pool claims tiles from a
 //            lock-free per-participant range queue with work stealing and
 //            rasterizes each tile's op list in command order.

@@ -543,6 +543,176 @@ constexpr PrimKernel kKernels[2][3][2] = {
 // under nearest filtering yields the same for any uv and wrap.
 constexpr std::uint32_t kWhiteTexel = 0xffffffffu;
 
+// --- Copy spans --------------------------------------------------------------
+//
+// mark_copy_span() admits a triangle whose kernel output is provably the
+// texel at a fixed offset from each covered pixel. copy_span() splits each
+// row of such a triangle in three: lanes outside an outer interval cannot
+// be covered; lanes inside an inner interval are covered and are copied
+// from the texture row; the kernel shades the lanes between, so the float
+// predicate and its tie-break decide them exactly as before.
+//
+// The error bound behind the intervals, with u = 2^-24 the unit roundoff.
+// Vertices are integers of magnitude <= 2^20, extents are <= 1024 and pixel
+// centers are half integers inside the vertex rectangle, so every
+// difference in an edge function is a half integer below 2^11, every
+// product a quarter integer below 2^20 and their difference a quarter
+// integer below 2^21: each edge function E_i is exact, and so is the area.
+// Let l_i = E_i / area be the exact barycentrics; inside the rectangle of a
+// half-rectangle triangle |l_i| <= 1.
+//   w0 = fl(E0 * fl(1 / area)) rounds twice: |w0 - l0| <= 2u + u^2, and
+//     w0 has the sign of l0 exactly. The same holds for w1.
+//   w2 = fl(fl(1 - w0) - w1) adds u |1 - w0| <= 2u + 3u^2 and
+//     u |w2| <= u + 9u^2 to the 4u + 2u^2 of w0 and w1:
+//     |w2 - l2| <= 7u + 14u^2 < kWeightError = 8u.
+// So l_i > 8u for every i makes all three weights positive (covered, no
+// tie-break), and l_i < -8u for some i makes w_i negative (not covered).
+//
+// A lane with every l_i > 8u samples texel (x + dx, y + dy). With one
+// common 1/w the perspective weights p_i approximate l_i: iw sums three
+// positive terms (3u relative), the divide adds 2u more, and w_i / sum(w)
+// differs from l_i by at most 12u, so |p0 - l0|, |p1 - l1| < 20u and
+// p2 = fl(fl(1 - p0) - p1) has |p2 - l2| < 43u. The texel coordinate
+// fl(fl(sum u_i p_i) * W) has exact value sum U_i l_i = x + 0.5 + dx, where
+// U_i = u_i W are the vertex texel coordinates, and misses it by at most
+// sum |U_i| |p_i - l_i| plus four roundings of about sum |U_i p_i|:
+// < 90u max|U_i|. With |U_i| <= kMaxTexelCoord = 2^12 that is below
+// 90 * 2^-12 < 0.025 texel, far from the half texel that would move floor()
+// off x + dx. The color is the texel's: replace passes it through, and
+// modulate by a color interpolated from exact 1.f values (within 5u of 1)
+// scales unpack(t) by 1 +- 8u, which pack() rounds back to t's byte.
+constexpr double kRoundoff = 1.0 / (1 << 24);
+constexpr double kWeightError = 8 * kRoundoff;
+constexpr float kMaxVertexCoord = 1 << 20;
+constexpr float kMaxExtent = 1024.f;
+constexpr double kMaxTexelCoord = 1 << 12;
+
+// floor(n / d) and ceil(n / d) for d > 0.
+inline std::int64_t floor_div(std::int64_t n, std::int64_t d) {
+  const std::int64_t q = n / d;
+  return (n % d != 0 && n < 0) ? q - 1 : q;
+}
+inline std::int64_t ceil_div(std::int64_t n, std::int64_t d) {
+  return -floor_div(-n, d);
+}
+
+// Writes `n` texels of row `row` starting at column `tx` (any integer)
+// under `wrap`, as wrap_coord() maps each column.
+void copy_texels(const std::uint32_t* row, int width, TextureWrap wrap,
+                 std::int64_t tx, std::uint32_t* out, std::int64_t n) {
+  if (wrap == TextureWrap::kClampToEdge) {
+    const std::int64_t before = std::clamp<std::int64_t>(-tx, 0, n);
+    std::fill(out, out + before, row[0]);
+    out += before;
+    n -= before;
+    tx += before;
+    const std::int64_t inside = std::clamp<std::int64_t>(width - tx, 0, n);
+    if (inside > 0) std::memcpy(out, row + tx, inside * sizeof *out);
+    std::fill(out + inside, out + n, row[width - 1]);
+    return;
+  }
+  tx = ((tx % width) + width) % width;
+  while (n > 0) {
+    const std::int64_t run = std::min<std::int64_t>(n, width - tx);
+    std::memcpy(out, row + tx, run * sizeof *out);
+    out += run;
+    n -= run;
+    tx = 0;
+  }
+}
+
+std::uint64_t copy_span(const Shader& s, const ScreenPrim& prim,
+                        const PixelRect& raw_limit) {
+  using Nearest = Kernel<false, TexMode::kNearest, false>;
+  const ScreenVertex& a = prim.v[0];
+  const ScreenVertex& b = prim.v[1];
+  const ScreenVertex& c = prim.v[2];
+  const PixelRect limit = intersect(
+      raw_limit,
+      PixelRect{static_cast<int>(std::min({a.x, b.x, c.x})),
+                static_cast<int>(std::min({a.y, b.y, c.y})),
+                static_cast<int>(std::max({a.x, b.x, c.x})),
+                static_cast<int>(std::max({a.y, b.y, c.y}))});
+  if (limit.empty()) return 0;
+
+  // Edge functions in doubled coordinates, where pixel centers are odd
+  // integers: 4 E_i, sign-normalized so l_i = e_i / (4 |area|).
+  struct Point {
+    std::int64_t x, y;
+  };
+  const Point p[3] = {{2 * static_cast<std::int64_t>(a.x),
+                       2 * static_cast<std::int64_t>(a.y)},
+                      {2 * static_cast<std::int64_t>(b.x),
+                       2 * static_cast<std::int64_t>(b.y)},
+                      {2 * static_cast<std::int64_t>(c.x),
+                       2 * static_cast<std::int64_t>(c.y)}};
+  const std::int64_t area2 =
+      (p[1].x - p[0].x) * (p[2].y - p[0].y) -
+      (p[1].y - p[0].y) * (p[2].x - p[0].x);  // 4 area
+  const std::int64_t sign = area2 > 0 ? 1 : -1;
+  const auto edge = [&](int i, std::int64_t px, std::int64_t py) {
+    const Point& from = p[(i + 1) % 3];
+    const Point& to = p[(i + 2) % 3];
+    return sign * ((from.x - px) * (to.y - py) - (from.y - py) * (to.x - px));
+  };
+  // l_i > 8u is e_i > 32u |area| = |4 area| 8u, and e_i is an integer.
+  const std::int64_t margin = static_cast<std::int64_t>(
+      std::floor(static_cast<double>(sign * area2) * kWeightError));
+
+  const TextureView& t = s.texture;
+  const TextureWrap wrap = s.state.wrap;
+  std::uint64_t fragments = 0;
+  for (int y = limit.y0; y < limit.y1; ++y) {
+    const std::int64_t py = 2 * static_cast<std::int64_t>(y) + 1;
+    const std::int64_t px = 2 * static_cast<std::int64_t>(limit.x0) + 1;
+    // [lo, hi) narrows to the lanes where e_i >= k for all i; the edges are
+    // linear in x, so each one cuts a half-line.
+    const auto interval = [&](std::int64_t k, std::int64_t& lo,
+                              std::int64_t& hi) {
+      lo = limit.x0;
+      hi = limit.x1;
+      for (int i = 0; i < 3; ++i) {
+        const std::int64_t at = edge(i, px, py);
+        const std::int64_t slope = edge(i, px + 2, py) - at;
+        if (slope > 0) {
+          lo = std::max(lo, limit.x0 + ceil_div(k - at, slope));
+        } else if (slope < 0) {
+          hi = std::min(hi, limit.x0 + floor_div(at - k, -slope) + 1);
+        } else if (at < k) {
+          hi = lo;
+        }
+      }
+    };
+    std::int64_t outer_lo, outer_hi, inner_lo, inner_hi;
+    interval(-margin, outer_lo, outer_hi);
+    if (outer_lo >= outer_hi) continue;
+    interval(margin + 1, inner_lo, inner_hi);
+    if (inner_lo >= inner_hi) inner_lo = inner_hi = outer_hi;
+    const auto shade = [&](std::int64_t lo, std::int64_t hi) {
+      if (lo >= hi) return;
+      fragments += Nearest::triangle(
+          s, a, b, c,
+          PixelRect{static_cast<int>(lo), y, static_cast<int>(hi), y + 1});
+    };
+    shade(outer_lo, inner_lo);
+    if (inner_lo < inner_hi) {
+      std::int64_t ty = static_cast<std::int64_t>(y) + prim.copy_dy;
+      ty = wrap == TextureWrap::kClampToEdge
+               ? std::clamp<std::int64_t>(ty, 0, t.height - 1)
+               : ((ty % t.height) + t.height) % t.height;
+      copy_texels(t.texels + ty * t.stride_px, t.width, wrap,
+                  inner_lo + prim.copy_dx,
+                  s.target.color +
+                      static_cast<std::size_t>(y) * s.target.stride_px +
+                      inner_lo,
+                  inner_hi - inner_lo);
+      fragments += static_cast<std::uint64_t>(inner_hi - inner_lo);
+    }
+    shade(inner_hi, outer_hi);
+  }
+  return fragments;
+}
+
 PixelRect triangle_bbox(const ScreenVertex& a, const ScreenVertex& b,
                         const ScreenVertex& c, const PixelRect& clip) {
   PixelRect box;
@@ -728,10 +898,86 @@ std::uint64_t raster_screen_prim(const TargetView& target,
     }
     s.feedback = views_overlap(s.texture, target);
   }
+  if (prim.copy) return copy_span(s, prim, limit);
   const bool masked = !state.color_mask[0] || !state.color_mask[1] ||
                       !state.color_mask[2] || !state.color_mask[3];
   return kKernels[state.depth_test][static_cast<int>(tex)]
                  [state.blend || masked](s, prim, limit);
+}
+
+bool mark_copy_span(const TargetView& target, const RasterState& state,
+                    TextureView texture, ScreenPrim& prim) {
+  prim.copy = false;
+  if (prim.kind != PrimitiveKind::kTriangles || state.depth_test ||
+      state.blend || state.filter != TextureFilter::kNearest) {
+    return false;
+  }
+  for (const bool channel : state.color_mask) {
+    if (!channel) return false;
+  }
+  if (texture.texels == nullptr || texture.width <= 0 ||
+      texture.height <= 0 || texture.width > (1 << 16) ||
+      texture.height > (1 << 16) || views_overlap(texture, target)) {
+    return false;
+  }
+  const ScreenVertex& a = prim.v[0];
+  const ScreenVertex& b = prim.v[1];
+  const ScreenVertex& c = prim.v[2];
+  // One 1/w, far from overflow and underflow in w_i * inv_w.
+  const float inv_w = a.inv_w;
+  if (!(inv_w >= 0x1p-64f && inv_w <= 0x1p64f) || b.inv_w != inv_w ||
+      c.inv_w != inv_w) {
+    return false;
+  }
+  for (const ScreenVertex& v : prim.v) {
+    if (!(std::fabs(v.x) <= kMaxVertexCoord && std::floor(v.x) == v.x &&
+          std::fabs(v.y) <= kMaxVertexCoord && std::floor(v.y) == v.y)) {
+      return false;
+    }
+    if (state.tex_env == TexEnv::kModulate &&
+        !(v.color.r == 1.f && v.color.g == 1.f && v.color.b == 1.f &&
+          v.color.a == 1.f)) {
+      return false;
+    }
+  }
+  if (std::max({a.x, b.x, c.x}) - std::min({a.x, b.x, c.x}) > kMaxExtent ||
+      std::max({a.y, b.y, c.y}) - std::min({a.y, b.y, c.y}) > kMaxExtent) {
+    return false;
+  }
+  // Half of an axis-aligned rectangle: one vertex shares x with a second
+  // and y with the third.
+  const auto corner = [](const ScreenVertex& at, const ScreenVertex& p,
+                         const ScreenVertex& q) {
+    return (p.x == at.x && q.y == at.y) || (p.y == at.y && q.x == at.x);
+  };
+  if (!corner(a, b, c) && !corner(b, c, a) && !corner(c, a, b)) return false;
+  const float area = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+  if (area == 0.f || (state.cull == CullMode::kBack && area > 0.f) ||
+      (state.cull == CullMode::kFront && area < 0.f)) {
+    return false;
+  }
+  // Texel coordinate minus pixel coordinate, the same integer at every
+  // vertex. A float times an int below 2^17 is exact in double.
+  const auto offset = [](float coord, int size, float pixel, double& out) {
+    const double texel = static_cast<double>(coord) * size;
+    out = texel - pixel;
+    return std::fabs(texel) <= kMaxTexelCoord && std::floor(texel) == texel;
+  };
+  double dx[3], dy[3];
+  for (int i = 0; i < 3; ++i) {
+    const ScreenVertex& v = prim.v[i];
+    if (!offset(v.texcoord.x, texture.width, v.x, dx[i]) ||
+        !offset(v.texcoord.y, texture.height, v.y, dy[i])) {
+      return false;
+    }
+  }
+  if (dx[1] != dx[0] || dx[2] != dx[0] || dy[1] != dy[0] || dy[2] != dy[0]) {
+    return false;
+  }
+  prim.copy = true;
+  prim.copy_dx = static_cast<int>(dx[0]);
+  prim.copy_dy = static_cast<int>(dy[0]);
+  return true;
 }
 
 void clear_rect(const TargetView& target,

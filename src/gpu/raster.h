@@ -18,6 +18,9 @@
 // pixels of a row per step. Each lane computes the exact IEEE expression
 // of one-fragment-at-a-time shading, so screens are byte-identical to it;
 // tests/raster_reference.cpp keeps that scalar path as the test oracle.
+// A triangle that samples its texture 1:1 under plain state (the present
+// quad) is a copy span instead: the rows the kernel would provably cover
+// are copied from the texture, and only the lanes near its edges shade.
 #pragma once
 
 #include <algorithm>
@@ -74,6 +77,10 @@ struct ScreenPrim {
   PrimitiveKind kind = PrimitiveKind::kTriangles;
   ScreenVertex v[3];  // triangles use 3, lines 2, points 1
   PixelRect bbox;
+  // A copy span (set by mark_copy_span): pixel (x, y) shows texel
+  // (x + copy_dx, y + copy_dy) under the draw's wrap mode.
+  bool copy = false;
+  int copy_dx = 0, copy_dy = 0;
 };
 
 // The viewport ∩ scissor ∩ target rect a draw may touch.
@@ -87,6 +94,17 @@ std::uint64_t build_screen_prims(const TargetView& target,
                                  const RasterState& state, PrimitiveKind kind,
                                  std::span<const ShadedVertex> vertices,
                                  std::vector<ScreenPrim>& out);
+
+// Marks `prim` as a copy span when shading it under `state` from `texture`
+// into `target` provably writes the texel at a fixed integer offset from
+// each covered pixel, byte for byte: a half-rectangle triangle with
+// integral vertices, one 1/w, nearest filtering, no depth test, blend,
+// color mask or feedback, tex-env replace (or modulate by exact white) and
+// texcoords that map one texel to one pixel. Returns prim.copy. Decided once
+// per primitive on the binning thread; raster_screen_prim trusts the mark,
+// so a marked primitive must be rastered with the same state and views.
+bool mark_copy_span(const TargetView& target, const RasterState& state,
+                    TextureView texture, ScreenPrim& prim);
 
 // Shades one primitive restricted to `limit` (already intersected with the
 // target; fragments outside it are not touched). Returns fragments shaded.

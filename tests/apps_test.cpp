@@ -4,8 +4,10 @@
 
 #include "dispatch/dispatch.h"
 #include "glport/system_config.h"
+#include "gpu/pipeline.h"
 #include "passmark/passmark.h"
 #include "ios_gl/gles.h"
+#include "trace/metrics.h"
 #include "webkit/browser.h"
 #include "webkit/raster.h"
 
@@ -78,6 +80,36 @@ TEST_P(ConfigTest, PassMarkTestsRunCleanly) {
         << primitives.status().to_string();
     EXPECT_GT(*primitives, 0u) << spec.name;
   }
+}
+
+// The EAGL present draws the app's frame onto the window as a 1:1
+// nearest-textured quad, and the bin stage marks its two triangles as copy
+// spans. Solid Vectors draws nothing textured and presents under plain
+// state, so each frame copies exactly those two; Transparent Vectors leaves
+// blending on across the present, so its frames copy none.
+TEST(PresentCopyTest, PlainStatePresentsCopyTheirQuad) {
+  gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  for (const int workers : {1, 4}) {
+    pool.set_worker_count(workers);
+    for (const auto& [test, copies] :
+         {std::pair{"Solid Vectors", 2u}, {"Transparent Vectors", 0u}}) {
+      glport::apply_system_config(SystemConfig::kCycadaIos);
+      auto port = glport::make_gl_port(SystemConfig::kCycadaIos);
+      ASSERT_TRUE(port->init(128, 128, 1).is_ok());
+      passmark::PassMark passmark(*port);
+      ASSERT_TRUE(passmark.run(test, 1).is_ok());  // setup frame
+      pool.drain();
+      const trace::Counter& copied =
+          trace::MetricsRegistry::instance().counter("pipeline.prims.copied");
+      const std::uint64_t before = copied.value();
+      ASSERT_TRUE(passmark.run(test, 1).is_ok());
+      pool.drain();
+      EXPECT_EQ(copied.value() - before, copies)
+          << test << " at " << workers << " workers";
+    }
+  }
+  pool.set_worker_count(saved_workers);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, ConfigTest,

@@ -31,7 +31,7 @@ constexpr int kNameCount = 8;
 
 // --- Entry stability --------------------------------------------------------
 
-TEST(DispatchTest, EntriesAndIdsSurviveRepublication) {
+TEST(DispatchTest, EntriesAndIdsSurviveLaterRegistrations) {
   DiplomatRegistry& registry = DiplomatRegistry::instance();
   DiplomatEntry* before[kNameCount];
   DiplomatId ids[kNameCount];
