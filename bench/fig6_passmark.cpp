@@ -7,7 +7,9 @@
 //                            every (config, test) pair instead of rates.
 //                            CI runs this at CYCADA_GPU_WORKERS=1 and =4
 //                            and diffs the output byte-for-byte: the tiled
-//                            rasterizer must be deterministic.
+//                            rasterizer must be deterministic. It also
+//                            requires one hash per test across the four
+//                            configs: graphics must be binary compatible.
 //   CYCADA_PASSMARK_SWEEP=1  run the workload at 1/2/4/8 tile workers on a
 //                            512x512 surface (an 8x8 tile grid), one warm
 //                            cycle then a timed leg of >= 1 s each, and emit

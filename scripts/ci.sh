@@ -29,9 +29,11 @@ run ./build/tools/cycada_check --root "$(pwd)/src"
 
 # --- Tile pipeline determinism + scaling (docs/PIPELINE.md) ------------------
 # The tiled rasterizer must be deterministic: the full PassMark screen hash
-# at 4 workers must be byte-identical to the single-threaded run. The
-# scaling gate (>= 2.00x raster speedup at 4 workers) only means something
-# with real cores underneath, so it is conditioned on nproc.
+# at 4 workers must be byte-identical to the single-threaded run. Graphics
+# must be binary compatible: every test must hash the same under all four
+# system configurations. The scaling gate (>= 2.00x raster speedup at 4
+# workers) only means something with real cores underneath, so it is
+# conditioned on nproc.
 echo "==> fig6 framebuffer hashes at CYCADA_GPU_WORKERS=1 vs 4"
 hash_w1="$(CYCADA_PASSMARK_HASH=1 CYCADA_GPU_WORKERS=1 \
   ./build/bench/fig6_passmark)"
@@ -43,6 +45,22 @@ if [[ "${hash_w1}" != "${hash_w4}" ]]; then
   exit 1
 fi
 echo "    identical ($(printf '%s\n' "${hash_w1}" | grep -c '^hash ') hashes)"
+# Lines read "hash <config> <test name> <fnv1a>"; test names contain spaces.
+cross_config="$(printf '%s\n' "${hash_w1}" | awk '
+  $1 == "hash" {
+    test = $3
+    for (i = 4; i < NF; ++i) test = test " " $i
+    if (!(test in first)) first[test] = $NF
+    else if (first[test] != $NF) diverged[test] = 1
+  }
+  END { for (test in diverged) print test }')"
+if [[ -n "${cross_config}" ]]; then
+  echo "ci.sh: FAIL — framebuffer hashes diverge across system configs:" >&2
+  printf '%s\n' "${cross_config}" | sed 's/^/    /' >&2
+  printf '%s\n' "${hash_w1}" | grep '^hash ' >&2
+  exit 1
+fi
+echo "    one hash per test across the four system configs"
 if [[ "$(nproc)" -ge 4 ]]; then
   echo "==> fig6 worker sweep (>= 2.00x raster speedup at 4 workers)"
   sweep_json="$(CYCADA_PASSMARK_SWEEP=1 ./build/bench/fig6_passmark)"

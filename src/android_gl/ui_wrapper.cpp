@@ -1,6 +1,7 @@
 #include "android_gl/ui_wrapper.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "android_gl/vendor.h"
 #include "gpu/device.h"
@@ -228,6 +229,27 @@ Status UiWrapper::draw_fbo_tex(gmem::BufferId content) {
   gl.glGetIntegerv(glcore::GL_TEXTURE_BINDING_2D, &saved_texture);
   glcore::GLint saved_viewport[4] = {0, 0, 0, 0};
   gl.glGetIntegerv(glcore::GL_VIEWPORT, saved_viewport);
+  // The quad is a plain 1:1 blit, whatever blend, depth, scissor, cull and
+  // colour-mask state the app left behind: an inherited blend would mix the
+  // frame into the stale window, and an inherited depth test would compare
+  // it against the window's depth buffer.
+  constexpr glcore::GLenum kPlainCaps[] = {
+      glcore::GL_BLEND, glcore::GL_DEPTH_TEST, glcore::GL_SCISSOR_TEST,
+      glcore::GL_CULL_FACE};
+  glcore::GLboolean saved_caps[std::size(kPlainCaps)] = {};
+  for (std::size_t i = 0; i < std::size(kPlainCaps); ++i) {
+    saved_caps[i] = gl.glIsEnabled(kPlainCaps[i]);
+    if (saved_caps[i] == glcore::GL_TRUE) gl.glDisable(kPlainCaps[i]);
+  }
+  glcore::GLint saved_mask[4] = {1, 1, 1, 1};
+  gl.glGetIntegerv(glcore::GL_COLOR_WRITEMASK, saved_mask);
+  gl.glColorMask(glcore::GL_TRUE, glcore::GL_TRUE, glcore::GL_TRUE,
+                 glcore::GL_TRUE);
+  // The quad's attribute pointers are client memory; with the app's VBO
+  // still bound they would be read as offsets into that buffer.
+  glcore::GLint saved_array_buffer = 0;
+  gl.glGetIntegerv(glcore::GL_ARRAY_BUFFER_BINDING, &saved_array_buffer);
+  gl.glBindBuffer(glcore::GL_ARRAY_BUFFER, 0);
 
   // Bind the content buffer's memory as a texture via an EGLImage, exactly
   // like the real zero-copy path.
@@ -261,12 +283,21 @@ Status UiWrapper::draw_fbo_tex(gmem::BufferId content) {
   gl.glDisableVertexAttribArray(0);
   gl.glDisableVertexAttribArray(2);
   gl.glUseProgram(0);
+  gl.glBindBuffer(glcore::GL_ARRAY_BUFFER,
+                  static_cast<glcore::GLuint>(saved_array_buffer));
   gl.glBindTexture(glcore::GL_TEXTURE_2D,
                    static_cast<glcore::GLuint>(saved_texture));
   gl.glBindFramebuffer(glcore::GL_FRAMEBUFFER,
                        static_cast<glcore::GLuint>(saved_fbo));
   gl.glViewport(saved_viewport[0], saved_viewport[1], saved_viewport[2],
                 saved_viewport[3]);
+  for (std::size_t i = 0; i < std::size(kPlainCaps); ++i) {
+    if (saved_caps[i] == glcore::GL_TRUE) gl.glEnable(kPlainCaps[i]);
+  }
+  gl.glColorMask(static_cast<glcore::GLboolean>(saved_mask[0]),
+                 static_cast<glcore::GLboolean>(saved_mask[1]),
+                 static_cast<glcore::GLboolean>(saved_mask[2]),
+                 static_cast<glcore::GLboolean>(saved_mask[3]));
   // Kick the present pass to the device now (drivers submit the blit with
   // the present request, not lazily), so its cost is attributable here.
   device().flush();

@@ -226,6 +226,25 @@ void GlesEngine::glDisable(GLenum cap) {
   }
 }
 
+GLboolean GlesEngine::glIsEnabled(GLenum cap) {
+  GlContext* ctx = require_context();
+  if (ctx == nullptr) return GL_FALSE;
+  bool enabled = false;
+  switch (cap) {
+    case GL_DEPTH_TEST: enabled = ctx->cap_depth_test; break;
+    case GL_BLEND: enabled = ctx->cap_blend; break;
+    case GL_SCISSOR_TEST: enabled = ctx->cap_scissor; break;
+    case GL_CULL_FACE: enabled = ctx->cap_cull; break;
+    case GL_TEXTURE_2D: enabled = ctx->cap_texture_2d; break;
+    case GL_LIGHTING:
+    case GL_ALPHA_TEST:
+    case GL_STENCIL_TEST:
+      break;  // accepted by glEnable, not modeled: reads as disabled
+    default: record_error(GL_INVALID_ENUM); break;
+  }
+  return enabled ? GL_TRUE : GL_FALSE;
+}
+
 void GlesEngine::glBlendFunc(GLenum sfactor, GLenum dfactor) {
   GlContext* ctx = require_context();
   if (ctx == nullptr) return;
@@ -349,8 +368,14 @@ void GlesEngine::glGetIntegerv(GLenum pname, GLint* params) {
     case GL_TEXTURE_BINDING_2D:
       *params = static_cast<GLint>(ctx->bound_texture[ctx->active_texture_unit]);
       break;
+    case GL_ARRAY_BUFFER_BINDING:
+      *params = static_cast<GLint>(ctx->bound_array_buffer);
+      break;
     case GL_MATRIX_MODE:
       *params = static_cast<GLint>(ctx->matrix_mode);
+      break;
+    case GL_COLOR_WRITEMASK:
+      for (int i = 0; i < 4; ++i) params[i] = ctx->color_mask[i] ? 1 : 0;
       break;
     case GL_VIEWPORT:
       params[0] = ctx->viewport.x;

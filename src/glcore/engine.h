@@ -83,6 +83,7 @@ class GlesEngine {
   void glClearDepthf(GLclampf depth);
   void glEnable(GLenum cap);
   void glDisable(GLenum cap);
+  GLboolean glIsEnabled(GLenum cap);
   void glBlendFunc(GLenum sfactor, GLenum dfactor);
   void glDepthFunc(GLenum func);
   void glDepthMask(GLboolean flag);

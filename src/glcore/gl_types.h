@@ -165,6 +165,7 @@ inline constexpr GLenum GL_MAX_VERTEX_ATTRIBS = 0x8869;
 inline constexpr GLenum GL_FRAMEBUFFER_BINDING = 0x8CA6;
 inline constexpr GLenum GL_RENDERBUFFER_BINDING = 0x8CA7;
 inline constexpr GLenum GL_TEXTURE_BINDING_2D = 0x8069;
+inline constexpr GLenum GL_ARRAY_BUFFER_BINDING = 0x8894;
 inline constexpr GLenum GL_VIEWPORT = 0x0BA2;
 inline constexpr GLenum GL_COLOR_CLEAR_VALUE = 0x0C22;
 inline constexpr GLenum GL_LINE_WIDTH = 0x0B21;

@@ -307,6 +307,22 @@ void TileWorkerPool::run_phase(Phase& phase) {
     phases_.push_back(&phase);
     wake_locked(phase.ranges.size() - 1);
   }
+  // An armed stall on the worker probe models a helper stuck inside a
+  // phase. For that injection to land reproducibly, the coordinator lets a
+  // woken helper check in before it claims any tile: a small phase would
+  // otherwise be done before the helper wakes. The wait is bounded by the
+  // armed stall, so a helper that never comes costs no more than one that
+  // stalls.
+  static util::FaultPoint& worker_fault =
+      util::FaultRegistry::instance().point("gpu.tile_worker");
+  if (const std::uint64_t stall_ms = worker_fault.stall_ms(); stall_ms != 0) {
+    const std::int64_t deadline =
+        now_ns() + static_cast<std::int64_t>(stall_ms) * 1'000'000;
+    while (phase.helpers.load(std::memory_order_acquire) == 0 &&
+           now_ns() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
   {
     // The coordinator is the degradation floor: it must finish the frame
     // even when every helper's fault probe fires.

@@ -201,6 +201,16 @@ StatusOr<ParsedTrace> read_cyt(const std::string& path) {
   return trace;
 }
 
+StatusOr<ParsedTrace> read_complete_cyt(const std::string& path) {
+  auto trace = read_cyt(path);
+  if (trace.is_ok() && trace->dropped > 0) {
+    return Status::failed_precondition(
+        "cyt: " + path + " is lossy: " + std::to_string(trace->dropped) +
+        " record(s) dropped at capture");
+  }
+  return trace;
+}
+
 Status write_cyt(const std::string& path, const CytHeader& header,
                  const std::vector<CytRecord>& records,
                  std::uint64_t dropped) {

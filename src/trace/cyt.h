@@ -155,6 +155,11 @@ struct ParsedTrace {
 // unknown versions are rejected with a Status naming the defect.
 StatusOr<ParsedTrace> read_cyt(const std::string& path);
 
+// read_cyt for consumers that judge or replay a capture as evidence: one
+// whose footer counts dropped records is missing calls, so it is refused
+// with failed_precondition.
+StatusOr<ParsedTrace> read_complete_cyt(const std::string& path);
+
 // Serializes `records` with the given header (start_ns is preserved); the
 // footer is recomputed. read_cyt(write_cyt(read_cyt(f))) is byte-identical
 // to f when f carried the same drop count.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <string>
 #include <thread>
 
 #include "android_gl/surface_flinger.h"
@@ -270,6 +272,110 @@ TEST_F(UiWrapperTest, EaglStylePresentPath) {
   glcore::GLint bound = 0;
   gl.glGetIntegerv(glcore::GL_FRAMEBUFFER_BINDING, &bound);
   EXPECT_EQ(static_cast<glcore::GLuint>(bound), fbo);
+}
+
+// The present is a plain 1:1 blit whatever raster state the app left on,
+// and it hands that state back unchanged. Each case leaves one piece of
+// state set so that, if it leaked into the present, the window would not
+// show the frame: a blend that keeps the destination, a depth test that
+// never passes, a one-pixel scissor, back-face culling (which culls the
+// quad's winding), a colour mask that drops green and alpha, and a bound
+// VBO (through which the quad's client-memory pointers would be offsets).
+TEST_F(UiWrapperTest, PresentIgnoresAndKeepsCallerRasterState) {
+  using namespace glcore;
+  struct Case {
+    const char* name;
+    GLenum cap;  // 0: no cap, the case sets only the mask or the VBO
+    void (*set)(GlesEngine&);
+  };
+  const Case cases[] = {
+      {"blend", GL_BLEND,
+       [](GlesEngine& gl) { gl.glBlendFunc(GL_ZERO, GL_ONE); }},
+      {"depth", GL_DEPTH_TEST,
+       [](GlesEngine& gl) { gl.glDepthFunc(GL_NEVER); }},
+      {"scissor", GL_SCISSOR_TEST,
+       [](GlesEngine& gl) { gl.glScissor(0, 0, 1, 1); }},
+      {"cull", GL_CULL_FACE, [](GlesEngine& gl) { gl.glCullFace(GL_BACK); }},
+      {"colour mask", 0,
+       [](GlesEngine& gl) {
+         gl.glColorMask(GL_TRUE, GL_FALSE, GL_TRUE, GL_FALSE);
+       }},
+      {"vbo", 0,
+       [](GlesEngine& gl) {
+         GLuint vbo = 0;
+         gl.glGenBuffers(1, &vbo);
+         gl.glBindBuffer(GL_ARRAY_BUFFER, vbo);
+         const float data[12] = {};
+         gl.glBufferData(GL_ARRAY_BUFFER, sizeof(data), data, GL_STATIC_DRAW);
+       }},
+  };
+  for (const int version : {1, 2}) {
+    UiWrapper* wrapper = version == 2
+        ? wrapper_
+        : egl_->connection_by_id(egl_->eglReInitializeMC())->ui_wrapper;
+    ASSERT_NE(wrapper, nullptr);
+    ASSERT_TRUE(wrapper->initialize(version, 16, 16).is_ok());
+    GlesEngine& gl = *wrapper->engine();
+    auto drawable = wrapper->create_drawable_buffer(16, 16);
+    ASSERT_TRUE(drawable.is_ok());
+    GLuint fbo = 0, rbo = 0;
+    gl.glGenFramebuffers(1, &fbo);
+    gl.glGenRenderbuffers(1, &rbo);
+    gl.glBindRenderbuffer(GL_RENDERBUFFER, rbo);
+    ASSERT_TRUE(wrapper->bind_renderbuffer(rbo, *drawable).is_ok());
+    gl.glBindFramebuffer(GL_FRAMEBUFFER, fbo);
+    gl.glFramebufferRenderbuffer(GL_FRAMEBUFFER, GL_COLOR_ATTACHMENT0,
+                                 GL_RENDERBUFFER, rbo);
+    gl.glViewport(0, 0, 16, 16);
+
+    std::uint32_t previous = 0;
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      const Case& c = cases[i];
+      const bool masked = std::string(c.name) == "colour mask";
+      const bool vbo = std::string(c.name) == "vbo";
+      SCOPED_TRACE(std::string(c.name) + " on GLES" + std::to_string(version));
+      // A new colour per case, so the stale back buffer never matches.
+      const float shade = static_cast<float>(i + 1) / 8.f;
+      gl.glClearColor(shade, 1.f - shade, 0.5f, 1.f);
+      gl.glClear(GL_COLOR_BUFFER_BIT);
+      if (c.cap != 0) gl.glEnable(c.cap);
+      c.set(gl);
+
+      ASSERT_TRUE(wrapper->draw_fbo_tex(*drawable).is_ok());
+      ASSERT_TRUE(wrapper->swap_buffers().is_ok());
+      // The present flushed the clear into the app's frame.
+      const std::uint32_t frame =
+          gmem::GrallocAllocator::instance().find(*drawable)->pixels32()[0];
+      EXPECT_NE(frame, previous);
+      previous = frame;
+      EXPECT_EQ(Image::diff_count(wrapper->front_snapshot(),
+                                  Image(16, 16, frame)),
+                0u);
+
+      for (const GLenum cap :
+           {GL_BLEND, GL_DEPTH_TEST, GL_SCISSOR_TEST, GL_CULL_FACE}) {
+        EXPECT_EQ(gl.glIsEnabled(cap), cap == c.cap ? GL_TRUE : GL_FALSE)
+            << std::hex << cap;
+      }
+      GLint mask[4] = {-1, -1, -1, -1};
+      gl.glGetIntegerv(GL_COLOR_WRITEMASK, mask);
+      EXPECT_EQ(mask[0], 1);
+      EXPECT_EQ(mask[1], masked ? 0 : 1);
+      EXPECT_EQ(mask[2], 1);
+      EXPECT_EQ(mask[3], masked ? 0 : 1);
+      GLint bound = 0;
+      gl.glGetIntegerv(GL_FRAMEBUFFER_BINDING, &bound);
+      EXPECT_EQ(static_cast<GLuint>(bound), fbo);
+      GLint array_buffer = -1;
+      gl.glGetIntegerv(GL_ARRAY_BUFFER_BINDING, &array_buffer);
+      EXPECT_EQ(array_buffer != 0, vbo);
+      EXPECT_EQ(gl.glGetError(), GL_NO_ERROR);
+
+      if (c.cap != 0) gl.glDisable(c.cap);
+      gl.glColorMask(GL_TRUE, GL_TRUE, GL_TRUE, GL_TRUE);
+      gl.glBindBuffer(GL_ARRAY_BUFFER, 0);
+    }
+  }
 }
 
 TEST_F(UiWrapperTest, MakeCurrentEnforcesAffinity) {

@@ -2,6 +2,9 @@
 // across the four system configurations of the paper's evaluation.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "dispatch/dispatch.h"
 #include "glport/system_config.h"
 #include "gpu/pipeline.h"
@@ -84,29 +87,29 @@ TEST_P(ConfigTest, PassMarkTestsRunCleanly) {
 
 // The EAGL present draws the app's frame onto the window as a 1:1
 // nearest-textured quad, and the bin stage marks its two triangles as copy
-// spans. Solid Vectors draws nothing textured and presents under plain
-// state, so each frame copies exactly those two; Transparent Vectors leaves
-// blending on across the present, so its frames copy none.
+// spans. The present draws under plain state whatever the app left enabled
+// (blending in Transparent Vectors, the depth test in the 3D tests), and no
+// test's own primitives take the copy shape, so every frame of every test
+// copies exactly those two.
 TEST(PresentCopyTest, PlainStatePresentsCopyTheirQuad) {
   gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
   const int saved_workers = pool.worker_count();
   for (const int workers : {1, 4}) {
     pool.set_worker_count(workers);
-    for (const auto& [test, copies] :
-         {std::pair{"Solid Vectors", 2u}, {"Transparent Vectors", 0u}}) {
+    for (const auto& spec : passmark::test_specs()) {
       glport::apply_system_config(SystemConfig::kCycadaIos);
       auto port = glport::make_gl_port(SystemConfig::kCycadaIos);
       ASSERT_TRUE(port->init(128, 128, 1).is_ok());
       passmark::PassMark passmark(*port);
-      ASSERT_TRUE(passmark.run(test, 1).is_ok());  // setup frame
+      ASSERT_TRUE(passmark.run(spec.name, 1).is_ok());  // setup frame
       pool.drain();
       const trace::Counter& copied =
           trace::MetricsRegistry::instance().counter("pipeline.prims.copied");
       const std::uint64_t before = copied.value();
-      ASSERT_TRUE(passmark.run(test, 1).is_ok());
+      ASSERT_TRUE(passmark.run(spec.name, 1).is_ok());
       pool.drain();
-      EXPECT_EQ(copied.value() - before, copies)
-          << test << " at " << workers << " workers";
+      EXPECT_EQ(copied.value() - before, 2u)
+          << spec.name << " at " << workers << " workers";
     }
   }
   pool.set_worker_count(saved_workers);
@@ -151,6 +154,44 @@ TEST(CrossConfigTest, BrowserPixelsIdenticalEverywhere) {
     EXPECT_EQ(Image::diff_count(screens[0], screens[i]), 0u) << i;
   }
   // And it matches the software reference renderer.
+  glport::apply_system_config(SystemConfig::kAndroid);
+}
+
+// The paper's claim is binary compatibility, so the oracle is the native
+// platform rather than recorded bytes: every PassMark test must leave the
+// same screen on Cycada iOS as on iOS after each power-of-two frame count,
+// at 1 and at 4 tile workers. A present pass that inherited the app's GL
+// state (blending, the depth test) fails it from the first frames on.
+TEST(CrossConfigTest, CycadaIosPassMarkScreensEqualNativeIos) {
+  gpu::TileWorkerPool& pool = gpu::TileWorkerPool::instance();
+  const int saved_workers = pool.worker_count();
+  const int checkpoints[] = {1, 2, 4, 8, 16, 32};
+  for (const int workers : {1, 4}) {
+    pool.set_worker_count(workers);
+    for (const auto& spec : passmark::test_specs()) {
+      std::vector<Image> screens[2];
+      for (int side = 0; side < 2; ++side) {
+        const SystemConfig config =
+            side == 0 ? SystemConfig::kIos : SystemConfig::kCycadaIos;
+        glport::apply_system_config(config);
+        auto port = glport::make_gl_port(config);
+        ASSERT_TRUE(port->init(128, 128, 1).is_ok());
+        passmark::PassMark passmark(*port);
+        int frames = 0;
+        for (const int target : checkpoints) {
+          ASSERT_TRUE(passmark.run(spec.name, target - frames).is_ok());
+          frames = target;
+          screens[side].push_back(port->screen());
+        }
+      }
+      for (std::size_t i = 0; i < std::size(checkpoints); ++i) {
+        EXPECT_EQ(Image::diff_count(screens[0][i], screens[1][i]), 0u)
+            << spec.name << " after " << checkpoints[i] << " frames at "
+            << workers << " workers";
+      }
+    }
+  }
+  pool.set_worker_count(saved_workers);
   glport::apply_system_config(SystemConfig::kAndroid);
 }
 

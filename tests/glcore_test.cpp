@@ -287,6 +287,42 @@ TEST_F(GlcoreTest, ErrorsAreStickyUntilRead) {
   EXPECT_EQ(engine_->glGetError(), GL_NO_ERROR);
 }
 
+TEST_F(GlcoreTest, IsEnabledReadsEveryModeledCap) {
+  EXPECT_EQ(engine_->glIsEnabled(GL_BLEND), GL_FALSE);  // no context
+  for (const int version : {1, 2}) {
+    version == 1 ? make_current_v1() : make_current_v2();
+    for (const GLenum cap : {GL_BLEND, GL_DEPTH_TEST, GL_SCISSOR_TEST,
+                             GL_CULL_FACE, GL_TEXTURE_2D}) {
+      EXPECT_EQ(engine_->glIsEnabled(cap), GL_FALSE) << std::hex << cap;
+      engine_->glEnable(cap);
+      EXPECT_EQ(engine_->glIsEnabled(cap), GL_TRUE) << std::hex << cap;
+      engine_->glDisable(cap);
+      EXPECT_EQ(engine_->glIsEnabled(cap), GL_FALSE) << std::hex << cap;
+    }
+    // One cap does not read through to another.
+    engine_->glEnable(GL_BLEND);
+    EXPECT_EQ(engine_->glIsEnabled(GL_DEPTH_TEST), GL_FALSE);
+    engine_->glDisable(GL_BLEND);
+    // Accepted but not modeled: reads as disabled, without an error.
+    engine_->glEnable(GL_STENCIL_TEST);
+    EXPECT_EQ(engine_->glIsEnabled(GL_STENCIL_TEST), GL_FALSE);
+    EXPECT_EQ(engine_->glGetError(), GL_NO_ERROR);
+    EXPECT_EQ(engine_->glIsEnabled(0xDEAD), GL_FALSE);
+    EXPECT_EQ(engine_->glGetError(), GL_INVALID_ENUM);
+
+    GLint mask[4] = {-1, -1, -1, -1};
+    engine_->glGetIntegerv(GL_COLOR_WRITEMASK, mask);
+    EXPECT_EQ(mask[0] + mask[1] + mask[2] + mask[3], 4);
+    engine_->glColorMask(GL_FALSE, GL_TRUE, GL_FALSE, GL_TRUE);
+    engine_->glGetIntegerv(GL_COLOR_WRITEMASK, mask);
+    EXPECT_EQ(mask[0], 0);
+    EXPECT_EQ(mask[1], 1);
+    EXPECT_EQ(mask[2], 0);
+    EXPECT_EQ(mask[3], 1);
+    EXPECT_EQ(engine_->glGetError(), GL_NO_ERROR);
+  }
+}
+
 TEST_F(GlcoreTest, DrawWithoutProgramRecordsError) {
   make_current_v2();
   const float quad[] = {-1, -1, 1, -1, 1, 1};

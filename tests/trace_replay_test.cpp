@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "analyze/analyze.h"
 #include "core/batch.h"
 #include "core/diplomat.h"
@@ -413,6 +415,60 @@ TEST_F(TraceReplayTest, GoldenPassmarkTraceMinesCleanAndReplaysFaithfully) {
       static_cast<double>(trace_expected_crossings(*parsed)) /
       static_cast<double>(stats->calls);
   EXPECT_NEAR(stats->crossings_per_call(), expected_cpc, expected_cpc * 0.05);
+}
+
+// Evidence is complete or refused: the trace consumers reject a capture
+// whose footer counts dropped records, with exit status 2 and a message
+// naming the drop count. The lossy file is the golden PassMark capture
+// re-footed with three drops; the golden file itself is accepted.
+class LossyTraceToolTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto golden = trace::read_complete_cyt(golden_);
+    ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+    // One file per test: ctest runs the tests as parallel processes.
+    lossy_ = tmp_path(
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    ASSERT_TRUE(trace::write_cyt(lossy_, golden->header, golden->records,
+                                 /*dropped=*/3)
+                    .is_ok());
+    auto lossy = trace::read_complete_cyt(lossy_);
+    ASSERT_FALSE(lossy.is_ok());
+    EXPECT_EQ(lossy.status().code(), StatusCode::kFailedPrecondition);
+  }
+
+  // Runs `command`; returns its exit status, with stdout and stderr in
+  // `output`.
+  static int run(const std::string& command, std::string& output) {
+    output.clear();
+    std::FILE* pipe = ::popen((command + " 2>&1").c_str(), "r");
+    if (pipe == nullptr) return -1;
+    char buf[512];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) output += buf;
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  const std::string golden_ =
+      CYCADA_SOURCE_DIR "/tests/data/golden_passmark.cyt";
+  std::string lossy_;
+};
+
+TEST_F(LossyTraceToolTest, ReplayRefusesALossyTrace) {
+  const std::string replay = std::string(CYCADA_REPLAY_BIN) + " ";
+  std::string output;
+  EXPECT_EQ(run(replay + lossy_, output), 2) << output;
+  EXPECT_NE(output.find("3 record(s) dropped"), std::string::npos) << output;
+  EXPECT_EQ(run(replay + golden_ + " --threads 1 --iterations 1", output), 0)
+      << output;
+}
+
+TEST_F(LossyTraceToolTest, CheckRefusesALossyTrace) {
+  const std::string check = std::string(CYCADA_CHECK_BIN) + " --trace ";
+  std::string output;
+  EXPECT_EQ(run(check + lossy_, output), 2) << output;
+  EXPECT_NE(output.find("3 record(s) dropped"), std::string::npos) << output;
+  EXPECT_EQ(run(check + golden_, output), 0) << output;
 }
 
 }  // namespace

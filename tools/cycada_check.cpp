@@ -16,6 +16,9 @@
 // with analyze::check_trace. Contract violations are findings (gating);
 // batchability candidates are printed as advisory notes and never gate.
 //
+// A --trace or --corpus capture whose footer counts dropped records is
+// missing calls, so it is refused (exit 2).
+//
 // --classify runs the classification prover (docs/ANALYZER.md): the static
 // scanner over the IOS_GL dispatch sites under --root and the --corpus
 // traces are cross-checked against src/core/classification.cpp; any
@@ -153,7 +156,7 @@ int main(int argc, char** argv) {
     std::vector<trace::ParsedTrace> parsed;
     parsed.reserve(corpus_paths.size());
     for (const std::string& path : corpus_paths) {
-      auto trace = trace::read_cyt(path);
+      auto trace = trace::read_complete_cyt(path);
       if (!trace.is_ok()) {
         std::fprintf(stderr, "cycada_check: %s: %s\n", path.c_str(),
                      trace.status().to_string().c_str());
@@ -203,7 +206,7 @@ int main(int argc, char** argv) {
     analyze::Report report;
     std::size_t candidates = 0;
     for (const std::string& path : traces) {
-      auto trace = trace::read_cyt(path);
+      auto trace = trace::read_complete_cyt(path);
       if (!trace.is_ok()) {
         std::fprintf(stderr, "cycada_check: %s: %s\n", path.c_str(),
                      trace.status().to_string().c_str());
@@ -212,10 +215,9 @@ int main(int argc, char** argv) {
       const analyze::TraceAudit audit =
           analyze::check_trace(*trace, report);
       std::printf(
-          "cycada_check: %s: %llu event(s), %llu call(s), %llu dropped\n",
-          path.c_str(), static_cast<unsigned long long>(audit.events),
-          static_cast<unsigned long long>(audit.calls),
-          static_cast<unsigned long long>(trace->dropped));
+          "cycada_check: %s: %llu event(s), %llu call(s)\n", path.c_str(),
+          static_cast<unsigned long long>(audit.events),
+          static_cast<unsigned long long>(audit.calls));
       for (const analyze::BatchCandidate& candidate : audit.candidates) {
         // Advisory, deliberately not a Finding: leads, not violations.
         std::printf(

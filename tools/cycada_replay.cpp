@@ -15,6 +15,9 @@
 // crossings-per-call must be within 5% of what the recorded stream costs
 // live. Divergence prints trace.replay-divergence findings and exits 1.
 //
+// A capture whose footer counts dropped records is missing calls, so it is
+// refused as a load error.
+//
 // Exits 0 on success, 1 on verification failure, 2 on usage/load errors.
 #include <cstdio>
 #include <cstdlib>
@@ -75,7 +78,7 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  auto trace = trace::read_cyt(path);
+  auto trace = trace::read_complete_cyt(path);
   if (!trace.is_ok()) {
     std::fprintf(stderr, "cycada_replay: %s: %s\n", path.c_str(),
                  trace.status().to_string().c_str());
